@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SINGULAR, PatternedMatrix, as_array, inverse, minor, replace_column
+from .linalg import PatternedMatrix, as_array, format17, minor, replace_column
 
 # Entries of computed inverses (and solutions) this far below the largest
 # entry are treated as exact zeros when deciding the 0 / inf output
@@ -38,25 +38,23 @@ ZERO_SNAP = 1e-10
 _QUANTITIES = ("det", "inv", "solve")
 
 
+def componentwise_ratio(num, den) -> np.ndarray:
+    """|num| / |den| elementwise with 0/0 -> 0 and nonzero/0 -> inf; a NaN
+    (an inf/inf or a non-finite operand) also becomes inf."""
+    num = np.abs(num)
+    den = np.abs(den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = num / den
+    return np.where(np.isnan(q), np.where((num == 0.0) & (den == 0.0), 0.0, np.inf), q)
+
+
 def componentwise_distance(u, v) -> float:
     """max_i |u_i - v_i| / |v_i|, with 0/0 -> 0 and nonzero/0 -> inf."""
     uu = np.asarray(u, dtype=float).ravel()
     vv = np.asarray(v, dtype=float).ravel()
     if uu.shape != vv.shape:
         raise ValueError(f"length mismatch: {uu.shape} vs {vv.shape}")
-    diff = np.abs(uu - vv)
-    out = np.zeros_like(diff)
-    nz = vv != 0.0
-    out[nz] = diff[nz] / np.abs(vv[nz])
-    out[(~nz) & (diff != 0.0)] = np.inf
-    return float(out.max()) if out.size else 0.0
-
-
-def _snap(values: np.ndarray) -> np.ndarray:
-    """Magnitudes with sub-roundoff entries replaced by exact zeros."""
-    mags = np.abs(values)
-    top = mags.max() if mags.size else 0.0
-    return np.where(mags > ZERO_SNAP * top, mags, 0.0)
+    return float(componentwise_ratio(uu - vv, vv).max()) if uu.size else 0.0
 
 
 def cond_det(A) -> float:
@@ -64,31 +62,12 @@ def cond_det(A) -> float:
 
     Returns +inf for singular input and 0.0 for the empty (0 x 0) matrix.
     """
-    a = as_array(A)
-    if a.shape[0] == 0:
-        return 0.0
-    g = inverse(a)
-    if g is SINGULAR:
-        return math.inf
-    val = float(np.abs(a * g.T).sum())
-    return val if math.isfinite(val) else math.inf
-
-
-def _inverse_cond_entries(a: np.ndarray) -> np.ndarray:
-    g = inverse(a)
-    if g is SINGULAR or not np.isfinite(g).all():
-        return np.full(a.shape, math.inf)
-    gs = _snap(g)
-    num = gs @ np.abs(a) @ gs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(gs > 0.0, num / np.abs(np.where(gs > 0.0, g, 1.0)),
-                        np.where(num > 0.0, np.inf, 0.0))
-    return vals
+    return float(batch_cond_det(as_array(A)[None])[0])
 
 
 def cond_inverse_entries(A) -> np.ndarray:
     """Matrix of condition numbers of the individual entries of A^-1."""
-    return _inverse_cond_entries(as_array(A))
+    return batch_cond_inverse_entries(as_array(A)[None])[0]
 
 
 def cond_inverse_entry(A, k: int, l: int) -> float:
@@ -97,7 +76,7 @@ def cond_inverse_entry(A, k: int, l: int) -> float:
     n = a.shape[0]
     if not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"indices ({k}, {l}) outside [1, {n}]")
-    return float(_inverse_cond_entries(a)[k - 1, l - 1])
+    return float(cond_inverse_entries(a)[k - 1, l - 1])
 
 
 def cond_inverse(A) -> float:
@@ -105,26 +84,9 @@ def cond_inverse(A) -> float:
     return float(cond_inverse_entries(A).max())
 
 
-def _solve_cond_entries(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    g = inverse(a)
-    if g is SINGULAR or not np.isfinite(g).all():
-        return np.full(len(b), math.inf)
-    x = g @ b
-    if not np.isfinite(x).all():
-        return np.full(len(b), math.inf)
-    gs = _snap(g)
-    xs = _snap(x)
-    num = gs @ (np.abs(a) @ xs) + gs @ np.abs(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(xs > 0.0, num / np.abs(np.where(xs > 0.0, x, 1.0)),
-                        np.where(num > 0.0, np.inf, 0.0))
-    return vals
-
-
 def cond_solve_entries(A, b) -> np.ndarray:
     """Vector of condition numbers of the solution components of A x = b."""
-    a = as_array(A)
-    return _solve_cond_entries(a, np.asarray(b, dtype=float))
+    return batch_cond_solve_entries(as_array(A)[None], np.asarray(b, dtype=float)[None])[0]
 
 
 def cond_solve_entry(A, b, k: int) -> float:
@@ -148,14 +110,14 @@ def bound_inverse_entry(A: PatternedMatrix, k: int, l: int) -> float:
 
 
 def bound_inverse_entries(A: PatternedMatrix) -> np.ndarray:
+    """bound_inverse_entry for every (k, l); row k is one batch of the n minors
+    that delete column k."""
     n = A.n
+    # other_rows[l] lists every row index but l
+    other_rows = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
     base = cond_det(A)
-    out = np.empty((n, n))
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            sub = minor(A, l, k)
-            out[k - 1, l - 1] = base + (0.0 if sub is None else cond_det(sub))
-    return out
+    return np.array([base + batch_cond_det(np.delete(A.entries, k, axis=1)[other_rows])
+                     for k in range(n)])
 
 
 def bound_solve_entry(A: PatternedMatrix, b, k: int) -> float:
@@ -165,8 +127,11 @@ def bound_solve_entry(A: PatternedMatrix, b, k: int) -> float:
 
 
 def bound_solve_entries(A: PatternedMatrix, b) -> np.ndarray:
-    base = cond_det(A)
-    return np.array([base + cond_det(replace_column(A, k, b)) for k in range(1, A.n + 1)])
+    """bound_solve_entry for every k, as one batch of column-replaced matrices."""
+    cols = np.arange(A.n)
+    replaced = np.repeat(A.entries[None], A.n, axis=0)
+    replaced[cols, :, cols] = np.asarray(b, dtype=float)
+    return cond_det(A) + batch_cond_det(replaced)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +185,7 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
         tol = ZERO_SNAP * np.abs(ref).max()
         ref_s = np.where(np.abs(ref) > tol, ref, 0.0)
         pert_s = np.where(np.abs(pert) > tol, pert, 0.0)
-        diff = np.abs(pert_s - ref_s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(ref_s != 0.0, diff / np.abs(np.where(ref_s != 0.0, ref_s, 1.0)),
-                         np.where(diff != 0.0, np.inf, 0.0))
-        return d.max(axis=0) / delta
+        return componentwise_ratio(pert_s - ref_s, ref_s).max(axis=0) / delta
 
     if quantity == "det":
         ref = np.linalg.det(a)
@@ -247,23 +208,25 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
 
 
 # ---------------------------------------------------------------------------
-# batched kernels (used by the Monte Carlo estimators)
+# batched kernels: the only implementation; the scalar functions above run
+# them on a batch of one
 
 def _batched_inverse(stack: np.ndarray):
-    """Inverse of a (M, n, n) stack.
+    """Inverse of a (M, n, n) stack and the mask of members that have one.
 
-    Members that are exactly singular, contain non-finite entries, or whose
-    inverse overflows are masked out; their condition numbers are +inf.
+    The singularity rule: a member is singular when it has a non-finite
+    entry, when LU meets an exactly zero pivot, or when its inverse
+    overflows. Each finite member is factorized once; only when LAPACK
+    reports a zero pivot does slogdet find the members that have one.
     """
-    finite_in = np.isfinite(stack).all(axis=(-1, -2))
-    sign = np.zeros(stack.shape[0])
-    if finite_in.any():
-        sign[finite_in], _ = np.linalg.slogdet(stack[finite_in])
-    ok = finite_in & (sign != 0.0)
+    ok = np.isfinite(stack).all(axis=(-1, -2))
     out = np.full_like(stack, np.nan)
-    if ok.any():
+    try:
         out[ok] = np.linalg.inv(stack[ok])
-        ok &= np.isfinite(out).all(axis=(-1, -2))
+    except np.linalg.LinAlgError:
+        ok[ok] = np.linalg.slogdet(stack[ok])[0] != 0.0
+        out[ok] = np.linalg.inv(stack[ok])
+    ok &= np.isfinite(out).all(axis=(-1, -2))
     return out, ok
 
 
@@ -279,6 +242,7 @@ def batch_cond_det(stack: np.ndarray) -> np.ndarray:
 
 
 def _snap_batch(values: np.ndarray, axes) -> np.ndarray:
+    """Magnitudes with entries below ZERO_SNAP times the largest set to zero."""
     mags = np.abs(values)
     top = mags.max(axis=axes, keepdims=True)
     return np.where(mags > ZERO_SNAP * top, mags, 0.0)
@@ -287,20 +251,13 @@ def _snap_batch(values: np.ndarray, axes) -> np.ndarray:
 def batch_cond_inverse_entries(stack: np.ndarray) -> np.ndarray:
     """Entrywise inversion condition numbers for a (M, n, n) stack.
 
-    Rows of exactly singular matrices are all +inf.
+    Rows of singular matrices are all +inf.
     """
     g, ok = _batched_inverse(stack)
     vals = np.full(stack.shape, np.inf)
-    if not ok.any():
-        return vals
-    gg = g[ok]
-    gs = _snap_batch(gg, (-1, -2))
-    num = gs @ np.abs(stack[ok]) @ gs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        entries = np.where(gs > 0.0, num / np.abs(np.where(gs > 0.0, gg, 1.0)),
-                           np.where(num > 0.0, np.inf, 0.0))
-    entries[np.isnan(entries)] = np.inf
-    vals[ok] = entries
+    if ok.any():
+        gs = _snap_batch(g[ok], (-1, -2))
+        vals[ok] = componentwise_ratio(gs @ np.abs(stack[ok]) @ gs, gs)
     return vals
 
 
@@ -319,19 +276,11 @@ def batch_cond_solve_entries(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         x_all[ok] = (g[ok] @ rhs[ok][..., None])[..., 0]
         ok &= np.isfinite(x_all).all(axis=-1)
     vals = np.full(rhs.shape, np.inf)
-    if not ok.any():
-        return vals
-    gg = g[ok]
-    bb = rhs[ok]
-    x = x_all[ok]
-    gs = _snap_batch(gg, (-1, -2))
-    xs = _snap_batch(x, (-1,))
-    num = (gs @ (np.abs(stack[ok]) @ xs[..., None]))[..., 0] + (gs @ np.abs(bb)[..., None])[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        comps = np.where(xs > 0.0, num / np.abs(np.where(xs > 0.0, x, 1.0)),
-                         np.where(num > 0.0, np.inf, 0.0))
-    comps[np.isnan(comps)] = np.inf
-    vals[ok] = comps
+    if ok.any():
+        gs = _snap_batch(g[ok], (-1, -2))
+        xs = _snap_batch(x_all[ok], (-1,))
+        num = gs @ (np.abs(stack[ok]) @ xs[..., None]) + gs @ np.abs(rhs[ok])[..., None]
+        vals[ok] = componentwise_ratio(num[..., 0], xs)
     return vals
 
 
@@ -342,10 +291,6 @@ def batch_cond_solve(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # report
-
-def _f17(x) -> str:
-    return format(float(x), ".17g")
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -431,11 +376,11 @@ class ConditionReport:
         return ",".join([
             str(self.n),
             str(self.pattern_size),
-            _f17(self.c_det),
-            _f17(self.c_inv),
-            _f17(c_solve),
-            _f17(self.minor_bound_max_slack),
-            _f17(self.replacement_bound_max_slack),
+            format17(self.c_det),
+            format17(self.c_inv),
+            format17(c_solve),
+            format17(self.minor_bound_max_slack),
+            format17(self.replacement_bound_max_slack),
         ])
 
 

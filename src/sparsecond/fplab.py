@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import batch_cond_solve, componentwise_distance, cond_solve
-from .linalg import as_array
+from .conditioning import batch_cond_solve, componentwise_distance, componentwise_ratio, cond_solve
+from .linalg import as_array, format17
 from .patterns import lower_triangular_pattern
 from .smoothed import _gather_values, _sigma_factor, sample_batch
 
@@ -134,6 +134,12 @@ def rel_error(x_hat, x_ref) -> float:
     return componentwise_distance(x_hat, x_ref)
 
 
+def _lops(rel, eps: float) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.where(rel > 0.0,
+                        np.maximum(0.0, np.log10(np.where(rel > 0.0, rel, 1.0) / eps)), 0.0)
+
+
 def loss_of_precision(rel: float, cfg: PrecisionConfig) -> float:
     """Decimal digits of precision lost: log10(rel / eps_mach), at least 0.
 
@@ -141,11 +147,13 @@ def loss_of_precision(rel: float, cfg: PrecisionConfig) -> float:
     clamp to 0: a computed answer cannot gain digits, and the clamp keeps
     summaries finite at rel = 0.
     """
-    if math.isinf(rel):
-        return math.inf
-    if rel <= 0.0:
-        return 0.0
-    return max(0.0, math.log10(rel / cfg.eps_mach))
+    return float(_lops(np.float64(rel), cfg.eps_mach))
+
+
+def _omegas(L: np.ndarray, b: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    r = b - (L @ x_hat[..., None])[..., 0]
+    den = (np.abs(L) @ np.abs(x_hat)[..., None])[..., 0]
+    return componentwise_ratio(r, den).max(axis=-1)
 
 
 def backward_error_omega(L, b, x_hat) -> float:
@@ -155,15 +163,7 @@ def backward_error_omega(L, b, x_hat) -> float:
     with r = b - L x_hat; a zero denominator contributes 0 when the residual
     component is zero and +inf otherwise.
     """
-    mat = as_array(L)
-    rhs = np.asarray(b, dtype=float)
-    xh = np.asarray(x_hat, dtype=float)
-    r = np.abs(rhs - mat @ xh)
-    den = np.abs(mat) @ np.abs(xh)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        comps = np.where(den > 0.0, r / np.where(den > 0.0, den, 1.0),
-                         np.where(r > 0.0, np.inf, 0.0))
-    return float(comps.max())
+    return float(_omegas(as_array(L), np.asarray(b, dtype=float), np.asarray(x_hat, dtype=float)))
 
 
 def backward_error_bound(n: int, cfg: PrecisionConfig) -> float:
@@ -235,25 +235,9 @@ def _chunk_accuracy_values(args) -> np.ndarray:
     x_ref = _reference_substitution_batch(stack, rhs)
     x_hat = forward_substitution_batch(stack, rhs, cfg)
 
-    diff = np.abs(x_hat - x_ref)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        comps = np.where(x_ref != 0.0, diff / np.abs(np.where(x_ref != 0.0, x_ref, 1.0)),
-                         np.where(diff != 0.0, np.inf, 0.0))
-    comps = np.where(np.isnan(comps), np.inf, comps)
-    rel = comps.max(axis=1)
-
-    eps = cfg.eps_mach
-    with np.errstate(divide="ignore"):
-        lop = np.where(rel > 0.0,
-                       np.maximum(0.0, np.log10(np.where(rel > 0.0, rel, 1.0) / eps)), 0.0)
-
-    r = np.abs(rhs - (stack @ x_hat[..., None])[..., 0])
-    den = (np.abs(stack) @ np.abs(x_hat)[..., None])[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        oc = np.where(den > 0.0, r / np.where(den > 0.0, den, 1.0),
-                      np.where(r > 0.0, np.inf, 0.0))
-    omega = np.where(np.isnan(oc), np.inf, oc).max(axis=1)
-
+    rel = componentwise_ratio(x_hat - x_ref, x_ref).max(axis=1)
+    lop = _lops(rel, cfg.eps_mach)
+    omega = _omegas(stack, rhs, x_hat)
     cond = batch_cond_solve(stack, rhs)
     with np.errstate(divide="ignore"):
         pred = math.log10(2.0 * math.log2(model.n)) + np.log10(cond)
@@ -322,22 +306,26 @@ class AccuracySummary:
         return (self.lop_violations <= 0.001 * self.samples
                 and self.mean_lop <= self.theoretical_lop_bound + LOP_SLACK_DIGITS)
 
+    def passed(self) -> bool:
+        """The run's verdict: both the backward-error and the LoP check pass."""
+        return self.backward_check_passed() and self.lop_check_passed()
+
     CSV_HEADER = "seed,n,sigma,p,rel_error,lop,omega,backward_bound,lop_prediction"
 
     def to_csv_text(self) -> str:
         rows = [self.CSV_HEADER]
-        bb = _f17(self.backward_bound)
+        bb = format17(self.backward_bound)
         for i in range(self.samples):
             rows.append(",".join([
                 str(self.seed),
                 str(self.n),
-                _f17(self.sigma),
+                format17(self.sigma),
                 str(self.precision_bits),
-                _f17(self.rel_error[i]),
-                _f17(self.lop[i]),
-                _f17(self.omega[i]),
+                format17(self.rel_error[i]),
+                format17(self.lop[i]),
+                format17(self.omega[i]),
                 bb,
-                _f17(self.lop_prediction[i]),
+                format17(self.lop_prediction[i]),
             ]))
         return "\n".join(rows) + "\n"
 
@@ -355,6 +343,7 @@ class AccuracySummary:
             f"{self.omega_hard_violations} above twice the bound: {back}\n"
             f"  LoP decomposition  = {self.lop_violations} above prediction+slack, "
             f"mean LoP vs bound: {lop}\n"
+            f"  verdict            = {'PASS' if self.passed() else 'FAIL'}\n"
         )
 
 
@@ -370,6 +359,9 @@ def run_accuracy_experiment(model, cfg: PrecisionConfig, samples: int, seed: int
     if model.center_rhs is None:
         raise ValueError("accuracy experiment needs a model with a right-hand side")
     n = model.n
+    if n < 2:
+        raise ValueError(f"accuracy experiment needs n >= 2 (its 2 log2 n bounds vanish "
+                         f"at n = 1), got n = {n}")
     tri = lower_triangular_pattern(n).positions
     diag = {(i, i) for i in range(1, n + 1)}
     if not model.pattern.positions <= tri:
@@ -383,7 +375,3 @@ def run_accuracy_experiment(model, cfg: PrecisionConfig, samples: int, seed: int
         rel_error=stats[:, 0], lop=stats[:, 1],
         omega=stats[:, 2], lop_prediction=stats[:, 3],
     )
-
-
-def _f17(x) -> str:
-    return format(float(x), ".17g")

@@ -14,12 +14,6 @@ import numpy as np
 
 from .patterns import SparsityPattern, full_pattern
 
-# A pivot counts as zero when |pivot| <= n * 2^-52 * max|entry|: scaled so a
-# structurally singular matrix is always flagged while generic random inputs
-# never are.
-_PIVOT_EPS = 2.0 ** -52
-
-
 class SingularFlag:
     """Sentinel return value for numerically singular inputs."""
 
@@ -96,7 +90,8 @@ class LuFactorization:
 
 
 def lu_factor(A):
-    """LU with partial pivoting; returns SINGULAR when a pivot is negligible."""
+    """LU with partial pivoting; returns SINGULAR for a non-finite entry or an
+    exactly zero pivot, the rule the batched condition kernels use."""
     a = as_array(A)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -105,14 +100,13 @@ def lu_factor(A):
         return LuFactorization(np.zeros(0, dtype=np.intp), np.zeros((0, 0)), np.zeros((0, 0)), 1)
     if not np.isfinite(a).all():
         return SINGULAR
-    threshold = n * _PIVOT_EPS * np.abs(a).max()
     u = a.astype(float).copy()
     lower = np.eye(n)
     perm = np.arange(n)
     sign = 1
     for k in range(n):
         p = k + int(np.argmax(np.abs(u[k:, k])))
-        if abs(u[p, k]) <= threshold:
+        if u[p, k] == 0.0:
             return SINGULAR
         if p != k:
             u[[k, p], k:] = u[[p, k], k:]
@@ -204,7 +198,8 @@ def replace_column(A: PatternedMatrix, k: int, b) -> PatternedMatrix:
     return PatternedMatrix(A.pattern.widen_column(k), entries)
 
 
-def _format_value(x: float) -> str:
+def format17(x) -> str:
+    """x with 17 significant digits, enough to read back the same double."""
     return format(float(x), ".17g")
 
 
@@ -213,7 +208,7 @@ def write_matrix_file(A, path) -> None:
     a = as_array(A)
     n = a.shape[0]
     lines = [str(n)]
-    lines += [" ".join(_format_value(v) for v in row) for row in a]
+    lines += [" ".join(format17(v) for v in row) for row in a]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -233,7 +228,7 @@ def read_matrix_file(path) -> np.ndarray:
 def write_vector_file(b, path) -> None:
     """Write a vector: first line n, then n values."""
     v = np.asarray(b, dtype=float)
-    lines = [str(len(v))] + [_format_value(x) for x in v]
+    lines = [str(len(v))] + [format17(x) for x in v]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

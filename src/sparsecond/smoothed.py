@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .conditioning import batch_cond_det, batch_cond_inverse, batch_cond_solve
-from .linalg import PatternedMatrix
+from .conditioning import batch_cond_det, batch_cond_inverse, batch_cond_solve, componentwise_ratio
+from .linalg import PatternedMatrix, format17
 from .patterns import SparsityPattern, is_admissible
 
 CHUNK_SIZE = 4096
@@ -248,9 +248,7 @@ def _chunk_ratio_values(args) -> np.ndarray:
     mu, varsigma, seed, chunk_index, count = args
     rng = _chunk_generator(seed, chunk_index)
     x = mu + varsigma * rng.standard_normal(count)
-    denom = np.abs(x + 1.0)
-    with np.errstate(divide="ignore"):
-        return np.where(denom > 0.0, np.abs(x) / np.where(denom > 0.0, denom, 1.0), np.inf)
+    return componentwise_ratio(x, x + 1.0)
 
 
 def _chunk_jobs(samples: int):
@@ -320,13 +318,13 @@ class TailEstimate:
                 self.quantity,
                 str(self.n),
                 str(self.S_size),
-                _f17(self.sigma),
-                _f17(self.mu),
-                _f17(t),
+                format17(self.sigma),
+                format17(self.mu),
+                format17(t),
                 str(self.exceed_counts[i]),
-                _f17(self.empirical[i]),
-                _f17(self.wilson_upper[i]),
-                _f17(self.theoretical[i]),
+                format17(self.empirical[i]),
+                format17(self.wilson_upper[i]),
+                format17(self.theoretical[i]),
                 str(self.samples),
                 str(self.seed),
                 str(self.singular_count),
@@ -398,11 +396,11 @@ class LogExpectationEstimate:
             self.quantity,
             str(self.n),
             str(self.S_size),
-            _f17(self.sigma),
-            _f17(self.beta),
-            _f17(self.mean),
-            _f17(self.std_error),
-            _f17(self.theoretical),
+            format17(self.sigma),
+            format17(self.beta),
+            format17(self.mean),
+            format17(self.std_error),
+            format17(self.theoretical),
             str(self.samples),
             str(self.used_samples),
             str(self.singular_count),
@@ -410,16 +408,19 @@ class LogExpectationEstimate:
         ])
         return self.CSV_HEADER + "\n" + row + "\n"
 
+    def verdict(self) -> str:
+        """PASS when the mean is at most the bound; a NaN mean (no finite
+        sample) fails."""
+        return "PASS" if self.mean <= self.theoretical else "FAIL"
+
     def to_report_text(self) -> str:
-        ok = self.mean <= self.theoretical
         return (
             f"log-expectation experiment: quantity={self.quantity} n={self.n} "
             f"S_size={self.S_size} sigma={self.sigma:g} beta={self.beta:g} "
             f"samples={self.samples} seed={self.seed}\n"
             f"  mean log_beta(cond) = {self.mean:.6g} (std error {self.std_error:.3g}, "
             f"{self.used_samples} finite samples, {self.singular_count} singular)\n"
-            f"  theoretical bound   = {self.theoretical:.6g}  "
-            f"{'PASS' if ok else 'FAIL'}\n"
+            f"  theoretical bound   = {self.theoretical:.6g}  {self.verdict()}\n"
         )
 
 
@@ -522,7 +523,3 @@ def verify_ratio_tail(mu: float, varsigma: float, thresholds, samples: int,
         samples=samples, seed=seed,
         singular_count=int(np.isinf(vals).sum()),
     )
-
-
-def _f17(x) -> str:
-    return format(float(x), ".17g")

@@ -158,6 +158,16 @@ class TestLogexp:
         theoretical = float(out.read_text().splitlines()[1].split(",")[7])
         assert theoretical == pytest.approx(14.856, abs=5e-3)
 
+    def test_no_finite_sample_fails_with_exit_3(self, tmp_path, capsys):
+        # entries near the top of the double range: every draw is singular
+        # or overflows, so the mean is NaN and the run must fail
+        spec = write_spec(tmp_path / "s.txt", pattern="full", n=10, center="zero",
+                          sigma="1e308", quantity="det", samples=100, seed=1)
+        out = tmp_path / "le.csv"
+        assert main(["logexp", "--spec", spec, "--out", str(out)]) == 3
+        assert "FAIL" in capsys.readouterr().out
+        assert out.read_text().splitlines()[1].split(",")[5] == "nan"
+
 
 class TestProp4:
     def test_run(self, tmp_path, capsys):
@@ -192,6 +202,13 @@ class TestAccuracy:
                           center="zero", sigma=1, precision_bits=60,
                           samples=300, seed=8)
         assert main(["accuracy", "--spec", spec]) == 2
+
+    def test_n1_exits_2_naming_the_requirement(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "s.txt", pattern="lower_triangular", n=1,
+                          center="zero", sigma=1, precision_bits=24,
+                          samples=300, seed=10)
+        assert main(["accuracy", "--spec", spec]) == 2
+        assert "n >= 2" in capsys.readouterr().err
 
     def test_non_triangular_pattern_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "s.txt", pattern="full", n=4,

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from sparsecond.conditioning import (
     batch_cond_det,
     batch_cond_inverse,
+    batch_cond_inverse_entries,
     batch_cond_solve,
+    batch_cond_solve_entries,
     bound_inverse_entries,
     bound_inverse_entry,
     bound_solve_entries,
@@ -205,6 +209,29 @@ class TestBounds:
             ok = np.isfinite(bs)
             assert np.all(cs[ok] <= bs[ok] * (1 + 1e-9))
 
+    @pytest.mark.parametrize("pattern_kind", ["full", "tri", "tridiag"])
+    def test_batched_bounds_match_explicit_minors(self, pattern_kind):
+        rng = np.random.default_rng(34)
+        for n in range(1, 7):
+            for _ in range(10):
+                if pattern_kind == "full":
+                    a = PatternedMatrix.dense(rng.standard_normal((n, n)))
+                elif pattern_kind == "tri":
+                    a = tri_matrix(rng, n)
+                else:
+                    pat = tridiagonal_pattern(n)
+                    a = PatternedMatrix(pat, rng.standard_normal((n, n)) * pat.mask)
+                b = rng.standard_normal(n)
+                explicit_inv = np.array([[bound_inverse_entry(a, k, l) for l in range(1, n + 1)]
+                                         for k in range(1, n + 1)])
+                explicit_solve = np.array([bound_solve_entry(a, b, k) for k in range(1, n + 1)])
+                for cond, batched, explicit in (
+                        (cond_inverse_entries(a), bound_inverse_entries(a), explicit_inv),
+                        (cond_solve_entries(a, b), bound_solve_entries(a, b), explicit_solve)):
+                    both = np.isfinite(batched) & np.isfinite(explicit)
+                    assert_allclose(batched[both], explicit[both], rtol=1e-9)
+                    assert np.all(cond <= batched * (1 + 1e-9))
+
 
 class TestOracle:
     def test_rejects_bad_delta(self):
@@ -278,6 +305,16 @@ class TestBatchKernels:
         assert list(batch_cond_inverse(stack)) == [1.0, math.inf, math.inf]
         assert list(batch_cond_solve(stack, rhs)) == [2.0, math.inf, math.inf]
 
+    def test_one_factorization_without_singular_members(self, monkeypatch):
+        # slogdet is only needed to find exactly singular members
+        def no_slogdet(*args, **kwargs):
+            raise AssertionError("slogdet called on a stack without singular members")
+
+        stack = np.random.default_rng(4).standard_normal((8, 5, 5))
+        expected = batch_cond_det(stack)
+        monkeypatch.setattr(np.linalg, "slogdet", no_slogdet)
+        assert_array_equal(batch_cond_det(stack), expected)
+
     def test_nonfinite_rhs_is_inf(self):
         stack = np.stack([np.eye(2)])
         rhs = np.array([[1.0, math.inf]])
@@ -309,3 +346,47 @@ class TestConditionReport:
         rep = condition_report(SING)
         assert rep.singular
         assert "+inf" in rep.to_text()
+
+
+def _property_input(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        a = rng.standard_normal((n, n))
+    elif kind == "rank_one_noise":
+        noise = 10.0 ** rng.uniform(-17.0, -13.0)
+        a = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+        a += noise * rng.standard_normal((n, n))
+    else:
+        a = np.tril(rng.standard_normal((n, n)))
+        diag = np.arange(n)
+        a[diag, diag] = np.where(np.abs(a[diag, diag]) > 1e-3, a[diag, diag], 1.0)
+    return a, rng.standard_normal(n)
+
+
+def _assert_same(scalar, batch):
+    """Equal placement of +inf, and finite values equal to 1e-9 relative."""
+    scalar, batch = np.asarray(scalar), np.asarray(batch)
+    assert np.array_equal(np.isinf(scalar), np.isinf(batch))
+    finite = np.isfinite(batch)
+    assert_allclose(scalar[finite], batch[finite], rtol=1e-9)
+
+
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+class TestScalarIsBatchOfOne:
+    """The scalar API agrees with the batched kernels on a batch of one,
+    including where +inf appears: one singularity rule for both."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.tuples(st.just("dense"), st.integers(1, 8), _SEEDS),
+        st.tuples(st.just("rank_one_noise"), st.integers(2, 8), _SEEDS),
+        st.tuples(st.just("lower_triangular"), st.sampled_from([30, 40]), _SEEDS)))
+    def test_scalar_equals_batch_of_one(self, case):
+        a, b = _property_input(*case)
+        _assert_same(cond_det(a), batch_cond_det(a[None])[0])
+        _assert_same(cond_inverse_entries(a), batch_cond_inverse_entries(a[None])[0])
+        _assert_same(cond_inverse(a), batch_cond_inverse(a[None])[0])
+        _assert_same(cond_solve_entries(a, b), batch_cond_solve_entries(a[None], b[None])[0])
+        _assert_same(cond_solve(a, b), batch_cond_solve(a[None], b[None])[0])
