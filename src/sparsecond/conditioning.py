@@ -21,7 +21,6 @@ without using any derivative formula.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -137,6 +136,19 @@ def bound_solve_entries(A: PatternedMatrix, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # finite-perturbation oracle
 
+def _sign_table(m: int) -> np.ndarray:
+    """Every nonzero sign pattern in {-1, 0, 1}^m, one float row each, in the
+    order of itertools.product((-1, 0, 1), repeat=m): row r holds the base-3
+    digits of r, most significant first, minus one. The all-zero row, the
+    middle one, is left out."""
+    codes = np.arange(3 ** m)
+    digits = np.empty((3 ** m, m), dtype=np.int8)
+    for j in range(m - 1, -1, -1):
+        codes, digits[:, j] = np.divmod(codes, 3)
+    digits -= 1
+    return np.delete(digits, (3 ** m - 1) // 2, axis=0).astype(float)
+
+
 def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 0,
                      exhaustive_limit: int = 12, random_trials: int = 10_000):
     """Estimate condition numbers straight from their definition.
@@ -170,8 +182,7 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     m = len(rows) + (n if quantity == "solve" else 0)
 
     if m <= exhaustive_limit:
-        factors = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=m)))
-        factors = factors[np.any(factors != 0.0, axis=1)]
+        factors = _sign_table(m)
     else:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
         factors = rng.integers(0, 2, size=(random_trials, m)).astype(float) * 2.0 - 1.0
@@ -211,21 +222,75 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
 # batched kernels: the only implementation; the scalar functions above run
 # them on a batch of one
 
+def _is_lower(stack: np.ndarray) -> np.ndarray:
+    """Mask of the members with no nonzero strictly above the diagonal."""
+    n = stack.shape[-1]
+    upper = np.zeros(stack.shape[0], dtype=bool)
+    for i in range(n - 1):
+        upper |= stack[:, i, i + 1:].any(axis=-1)
+        if upper.all():
+            break
+    return ~upper
+
+
+def _lower_inverse(stack: np.ndarray) -> np.ndarray:
+    """Inverse of a (M, n, n) stack of lower-triangular matrices by forward
+    substitution, row by row and vectorised over the stack.
+
+    Entries above the diagonal stay exactly zero. An exactly zero diagonal
+    entry (LU's zero pivot on this path) makes its row and all later ones
+    non-finite; no warning is raised for it or for an overflow.
+    """
+    n = stack.shape[-1]
+    out = np.zeros_like(stack)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(n):
+            out[:, i, i] = 1.0
+            if i:
+                out[:, i, :i] = -(stack[:, i, None, :i] @ out[:, :i, :i])[:, 0]
+            out[:, i, : i + 1] /= stack[:, i, i, None]
+    return out
+
+
+def _lu_inverse(stack: np.ndarray) -> np.ndarray:
+    """LAPACK inverse of a stack of finite matrices; members with an exactly
+    zero pivot, which slogdet finds only when inv reports one, are NaN."""
+    try:
+        return np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        out = np.full_like(stack, np.nan)
+        nonsingular = np.linalg.slogdet(stack)[0] != 0.0
+        out[nonsingular] = np.linalg.inv(stack[nonsingular])
+        return out
+
+
+def _members(array: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """array[mask], without the copy when the mask selects every member."""
+    return array if mask.all() else array[mask]
+
+
 def _batched_inverse(stack: np.ndarray):
     """Inverse of a (M, n, n) stack and the mask of members that have one.
 
     The singularity rule: a member is singular when it has a non-finite
     entry, when LU meets an exactly zero pivot, or when its inverse
-    overflows. Each finite member is factorized once; only when LAPACK
-    reports a zero pivot does slogdet find the members that have one.
+    overflows. Lower-triangular members are inverted by substitution, where
+    the zero pivot is an exactly zero diagonal entry; every other finite
+    member is factorized once by LAPACK. Which path a member takes depends
+    on its own entries only.
     """
     ok = np.isfinite(stack).all(axis=(-1, -2))
-    out = np.full_like(stack, np.nan)
-    try:
-        out[ok] = np.linalg.inv(stack[ok])
-    except np.linalg.LinAlgError:
-        ok[ok] = np.linalg.slogdet(stack[ok])[0] != 0.0
-        out[ok] = np.linalg.inv(stack[ok])
+    lower = ok & _is_lower(stack)
+    general = ok & ~lower
+    if lower.all():
+        out = _lower_inverse(stack)
+    elif general.all():
+        out = _lu_inverse(stack)
+    else:
+        out = np.full_like(stack, np.nan)
+        for mask, invert in ((lower, _lower_inverse), (general, _lu_inverse)):
+            if mask.any():
+                out[mask] = invert(stack[mask])
     ok &= np.isfinite(out).all(axis=(-1, -2))
     return out, ok
 
@@ -235,7 +300,7 @@ def batch_cond_det(stack: np.ndarray) -> np.ndarray:
     g, ok = _batched_inverse(stack)
     vals = np.full(stack.shape[0], np.inf)
     if ok.any():
-        sub = np.abs(stack[ok] * np.swapaxes(g[ok], -1, -2)).sum(axis=(-1, -2))
+        sub = np.abs(_members(stack, ok) * np.swapaxes(_members(g, ok), -1, -2)).sum(axis=(-1, -2))
         sub[~np.isfinite(sub)] = np.inf
         vals[ok] = sub
     return vals
@@ -256,8 +321,8 @@ def batch_cond_inverse_entries(stack: np.ndarray) -> np.ndarray:
     g, ok = _batched_inverse(stack)
     vals = np.full(stack.shape, np.inf)
     if ok.any():
-        gs = _snap_batch(g[ok], (-1, -2))
-        vals[ok] = componentwise_ratio(gs @ np.abs(stack[ok]) @ gs, gs)
+        gs = _snap_batch(_members(g, ok), (-1, -2))
+        vals[ok] = componentwise_ratio(gs @ np.abs(_members(stack, ok)) @ gs, gs)
     return vals
 
 
@@ -270,16 +335,21 @@ def batch_cond_solve_entries(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Componentwise solve condition numbers for (M, n, n) and (M, n) stacks."""
     g, ok = _batched_inverse(stack)
     ok &= np.isfinite(rhs).all(axis=-1)
-    if ok.any():
-        # solutions that overflow are treated like singular draws
-        x_all = np.zeros(rhs.shape)
-        x_all[ok] = (g[ok] @ rhs[ok][..., None])[..., 0]
-        ok &= np.isfinite(x_all).all(axis=-1)
     vals = np.full(rhs.shape, np.inf)
+    if not ok.any():
+        return vals
+    g, a, b = _members(g, ok), _members(stack, ok), _members(rhs, ok)
+    # solutions that overflow are treated like singular draws
+    with np.errstate(over="ignore"):
+        x = (g @ b[..., None])[..., 0]
+    solved = np.isfinite(x).all(axis=-1)
+    if not solved.all():
+        ok[ok] = solved
+        g, a, b, x = g[solved], a[solved], b[solved], x[solved]
     if ok.any():
-        gs = _snap_batch(g[ok], (-1, -2))
-        xs = _snap_batch(x_all[ok], (-1,))
-        num = gs @ (np.abs(stack[ok]) @ xs[..., None]) + gs @ np.abs(rhs[ok])[..., None]
+        gs = _snap_batch(g, (-1, -2))
+        xs = _snap_batch(x, (-1,))
+        num = gs @ (np.abs(a) @ xs[..., None]) + gs @ np.abs(b)[..., None]
         vals[ok] = componentwise_ratio(num[..., 0], xs)
     return vals
 

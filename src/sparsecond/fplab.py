@@ -177,6 +177,11 @@ def _log10_or_neg_inf(x: float) -> float:
     return math.log10(x)
 
 
+def _lop_dimension_term(n: int) -> float:
+    """log10(2 log2 n), the dimension term of the LoP prediction; -inf at n = 1."""
+    return _log10_or_neg_inf(2.0 * math.log2(n))
+
+
 def lop_prediction(L, b) -> float:
     """Condition-based forecast of the digits lost by forward substitution:
     log10(2 log2 n) + log10(cond_solve(L, b)); the vanishing remainder term is
@@ -185,12 +190,15 @@ def lop_prediction(L, b) -> float:
     c = cond_solve(L, b)
     if math.isinf(c):
         return math.inf
-    return _log10_or_neg_inf(2.0 * math.log2(n)) + _log10_or_neg_inf(c)
+    return _lop_dimension_term(n) + _log10_or_neg_inf(c)
 
 
 def smoothed_lop_bound(n: int, sigma: float) -> float:
     """Theoretical mean loss of precision for the centered triangular model:
     log10((1+sigma)/sigma) + 5 log10 n + log10(log2 n) + 1.452."""
+    if n < 2:
+        raise ValueError(f"the smoothed LoP bound needs n >= 2 (log10(log2 n) is "
+                         f"undefined at n = 1), got n = {n}")
     return (math.log10(_sigma_factor(sigma)) + 5.0 * math.log10(n)
             + math.log10(math.log2(n)) + 1.452)
 
@@ -240,7 +248,7 @@ def _chunk_accuracy_values(args) -> np.ndarray:
     omega = _omegas(stack, rhs, x_hat)
     cond = batch_cond_solve(stack, rhs)
     with np.errstate(divide="ignore"):
-        pred = math.log10(2.0 * math.log2(model.n)) + np.log10(cond)
+        pred = _lop_dimension_term(model.n) + np.log10(cond)
     return np.stack([rel, lop, omega, pred], axis=1)
 
 
@@ -260,7 +268,7 @@ class AccuracySummary:
 
     @property
     def backward_bound(self) -> float:
-        return 2.0 * math.log2(self.n) * 2.0 ** -self.precision_bits
+        return backward_error_bound(self.n, PrecisionConfig(self.precision_bits))
 
     @property
     def theoretical_lop_bound(self) -> float:

@@ -94,8 +94,10 @@ def sample_batch(model: GaussianModel, seed: int, chunk_index: int, count: int):
     with_rhs = model.center_rhs is not None
     z = rng.standard_normal((count, m + (n if with_rhs else 0)))
     stack = np.zeros((count, n, n))
-    stack[:, rows, cols] = model._center_at_positions + model.sigma * z[:, :m]
-    rhs = model.center_rhs + model.sigma * z[:, m:] if with_rhs else None
+    # a draw that overflows is non-finite, which the kernels count as singular
+    with np.errstate(over="ignore"):
+        stack[:, rows, cols] = model._center_at_positions + model.sigma * z[:, :m]
+        rhs = model.center_rhs + model.sigma * z[:, m:] if with_rhs else None
     return stack, rhs
 
 

@@ -158,6 +158,7 @@ class TestLogexp:
         theoretical = float(out.read_text().splitlines()[1].split(",")[7])
         assert theoretical == pytest.approx(14.856, abs=5e-3)
 
+    @pytest.mark.filterwarnings("error")
     def test_no_finite_sample_fails_with_exit_3(self, tmp_path, capsys):
         # entries near the top of the double range: every draw is singular
         # or overflows, so the mean is NaN and the run must fail

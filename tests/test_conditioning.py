@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from sparsecond import conditioning
 from sparsecond.conditioning import (
     batch_cond_det,
     batch_cond_inverse,
@@ -264,6 +267,14 @@ class TestOracle:
         assert np.all(got[np.triu_indices(3, 1)] == 0.0)
         assert np.all(closed[np.triu_indices(3, 1)] == 0.0)
 
+    @pytest.mark.parametrize("m", range(0, 7))
+    def test_sign_table_is_the_product_order(self, m):
+        table = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=m)))
+        table = table[np.any(table != 0.0, axis=1)]
+        got = conditioning._sign_table(m)
+        assert got.dtype == table.dtype and got.shape == table.shape
+        assert got.tobytes() == table.tobytes()
+
     def test_oracle_agreement_small_random(self):
         rng = np.random.default_rng(8)
         delta = 1e-6
@@ -319,6 +330,129 @@ class TestBatchKernels:
         stack = np.stack([np.eye(2)])
         rhs = np.array([[1.0, math.inf]])
         assert batch_cond_solve(stack, rhs)[0] == math.inf
+
+
+def _well_conditioned_lower(rng, count, n):
+    """Lower-triangular stack with diagonal entries of size 1..2 and small
+    entries below it."""
+    stack = np.tril(rng.standard_normal((count, n, n)), -1) * (0.5 / n)
+    diag = np.arange(n)
+    stack[:, diag, diag] = rng.uniform(1.0, 2.0, (count, n)) * rng.choice([-1.0, 1.0], (count, n))
+    return stack
+
+
+def _exact_lower_inverse(a):
+    """L^-1 in exact rational arithmetic by forward substitution."""
+    n = a.shape[0]
+    q = [[Fraction(float(v)) for v in row] for row in a]
+    x = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = Fraction(int(i == j)) - sum((q[i][k] * x[k][j] for k in range(j, i)), Fraction(0))
+            x[i][j] = s / q[i][i]
+    return x
+
+
+class TestLowerTriangularPath:
+    """Members with nothing above the diagonal are inverted by substitution."""
+
+    @staticmethod
+    def _kernels(stack, rhs):
+        return (batch_cond_det(stack), batch_cond_inverse_entries(stack),
+                batch_cond_solve_entries(stack, rhs))
+
+    @staticmethod
+    def _special_members(n):
+        """Zero-diagonal, non-finite and overflowing lower-triangular members
+        with their right-hand sides; the last pair overflows only in x."""
+        eye = np.eye(n)
+        zero_diag, nan_below, inf_diag, tiny_diag = (eye.copy() for _ in range(4))
+        zero_diag[n - 1, n - 1] = 0.0
+        nan_below[n - 1, 0] = math.nan
+        inf_diag[0, 0] = math.inf
+        tiny_diag[:2, :2] = [[1e-300, 0.0], [1.0, 1e-300]]
+        stack = np.stack([zero_diag, nan_below, inf_diag, tiny_diag, 1e-300 * eye])
+        rhs = np.ones((5, n))
+        rhs[4] = 1e10
+        return stack, rhs
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 3, 8, 17, 30])
+    def test_agrees_with_general_path(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        special, special_rhs = self._special_members(n)
+        stack = np.concatenate([_well_conditioned_lower(rng, 40, n), special])
+        rhs = np.concatenate([rng.standard_normal((40, n)), special_rhs])
+        g, ok = conditioning._batched_inverse(stack)
+        got = self._kernels(stack, rhs)
+        monkeypatch.setattr(conditioning, "_is_lower", lambda s: np.zeros(len(s), dtype=bool))
+        g_ref, ok_ref = conditioning._batched_inverse(stack)
+        ref = self._kernels(stack, rhs)
+        assert list(ok) == list(ok_ref) == [True] * 40 + [False] * 4 + [True]
+        assert_allclose(g[:40], g_ref[:40], rtol=1e-9, atol=1e-15)
+        for values, expected in zip(got, ref):
+            _assert_same(values, expected)
+        assert np.isinf(got[0][40:44]).all() and np.isinf(got[2][40:]).all()
+
+    def test_entries_above_diagonal_are_exactly_zero(self):
+        rng = np.random.default_rng(11)
+        stack = np.tril(rng.standard_normal((200, 30, 30)))
+        g, ok = conditioning._batched_inverse(stack)
+        rows, cols = np.triu_indices(30, 1)
+        assert ok.all()
+        assert (g[:, rows, cols] == 0.0).all()
+        assert (batch_cond_inverse_entries(stack)[:, rows, cols] == 0.0).all()
+
+    def test_mixed_stack_members_equal_batch_of_one(self):
+        rng = np.random.default_rng(12)
+        n = 5
+        lower = np.tril(rng.standard_normal((3, n, n)))
+        dense = rng.standard_normal((3, n, n))
+        singular_lower = lower[0].copy()
+        singular_lower[2, 2] = 0.0
+        singular_dense = dense[0].copy()
+        singular_dense[3] = singular_dense[1]
+        nonfinite = dense[1].copy()
+        nonfinite[0, 4] = math.inf
+        stack = np.stack([lower[0], dense[0], singular_lower, lower[1], singular_dense,
+                          np.diag(rng.standard_normal(n)), nonfinite, dense[2], lower[2]])
+        rhs = rng.standard_normal((len(stack), n))
+        whole = self._kernels(stack, rhs)
+        for i in range(len(stack)):
+            alone = self._kernels(stack[i:i + 1], rhs[i:i + 1])
+            for values, value in zip(whole, alone):
+                assert values[i].tobytes() == value[0].tobytes()
+        assert np.isinf(whole[0][[2, 4, 6]]).all()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_exact_rational_inverse(self, n):
+        rng = np.random.default_rng(100 + n)
+        stack = np.tril(rng.standard_normal((4, n, n)))
+        g, ok = conditioning._batched_inverse(stack)
+        assert ok.all()
+        for a, got in zip(stack, g):
+            exact = _exact_lower_inverse(a)
+            for i, j in itertools.product(range(n), repeat=2):
+                if j > i:
+                    assert got[i, j] == 0.0
+                else:
+                    err = abs(Fraction(float(got[i, j])) - exact[i][j])
+                    assert err <= Fraction(1, 10 ** 12) * abs(exact[i][j])
+
+    def test_lower_members_never_reach_lapack(self, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on a lower-triangular stack")
+
+        rng = np.random.default_rng(13)
+        stack = np.tril(rng.standard_normal((6, 7, 7)))
+        stack[2, 4, 4] = 0.0
+        rhs = rng.standard_normal((6, 7))
+        expected = batch_cond_solve(stack, rhs)
+        monkeypatch.setattr(np.linalg, "inv", no_lapack)
+        monkeypatch.setattr(np.linalg, "slogdet", no_lapack)
+        assert_array_equal(batch_cond_solve(stack, rhs), expected)
+        assert expected[2] == math.inf and np.isfinite(np.delete(expected, 2)).all()
+        assert cond_solve(stack[0], rhs[0]) == expected[0]
 
 
 class TestConditionReport:

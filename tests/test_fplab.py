@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from sparsecond.fplab import (
+    _chunk_accuracy_values,
     PrecisionConfig,
     backward_error_bound,
     backward_error_omega,
@@ -245,6 +246,20 @@ class TestLopPrediction:
             math.log10(2.0) + math.log10(cond_solve(L, b)), rel=1e-12)
 
 
+    def test_n1_prediction_agrees_with_the_chunk_code(self):
+        # log10(2 log2 1) = -inf in both; the chunk code used to raise here
+        model = tri_model(1, rhs="ones")
+        from sparsecond.smoothed import sample_batch
+        stack, rhs = sample_batch(model, 5, 0, 8)
+        pred = _chunk_accuracy_values((model, P24, 5, 0, 8))[:, 3]
+        assert list(pred) == [lop_prediction(a, b) for a, b in zip(stack, rhs)]
+        assert lop_prediction(np.array([[2.0]]), np.array([1.0])) == -math.inf
+
+    def test_smoothed_bound_names_n_at_least_2(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            smoothed_lop_bound(1, 1.0)
+
+
 class TestSolveAccuracy:
     def test_report_fields_consistent(self):
         rng = np.random.default_rng(8)
@@ -297,6 +312,7 @@ class TestAccuracyExperiment:
         model = tri_model(10)
         summary = run_accuracy_experiment(model, P24, 300, seed=4)
         assert summary.theoretical_lop_bound == pytest.approx(smoothed_lop_bound(10, 1.0), rel=1e-12)
+        assert summary.backward_bound == backward_error_bound(10, P24)
         lines = summary.to_csv_text().strip().splitlines()
         assert lines[0] == "seed,n,sigma,p,rel_error,lop,omega,backward_bound,lop_prediction"
         assert len(lines) == 301
