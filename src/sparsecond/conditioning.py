@@ -109,14 +109,35 @@ def bound_inverse_entry(A: PatternedMatrix, k: int, l: int) -> float:
 
 
 def bound_inverse_entries(A: PatternedMatrix) -> np.ndarray:
-    """bound_inverse_entry for every (k, l); row k is one batch of the n minors
-    that delete column k."""
+    """bound_inverse_entry for every (k, l), from the one inverse G of A.
+
+    The minor that deletes row l and column k has the inverse entries
+    g_ji - g_jl g_ki / g_kl (i != l, j != k), so its cond_det is a sum over
+    the support; it is singular exactly when g_kl == 0 (Jacobi's identity
+    det(minor) = +-det(A) g_kl). Rows loop over k and are vectorised over
+    (l, support). A singular A gives +inf everywhere.
+    """
     n = A.n
-    # other_rows[l] lists every row index but l
-    other_rows = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    g, ok = _batched_inverse(A.entries[None])
+    if not ok[0]:
+        return np.full((n, n), np.inf)
+    g = g[0]
+    rows, cols = A.pattern.index_arrays
+    mags = np.abs(A.entries[rows, cols])
     base = cond_det(A)
-    return np.array([base + batch_cond_det(np.delete(A.entries, k, axis=1)[other_rows])
-                     for k in range(n)])
+    out = np.empty((n, n))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(n):
+            keep = cols != k
+            i, j = rows[keep], cols[keep]
+            # h[l, s] is exactly 0 on the deleted row l (g_kl / g_kl == 1),
+            # and dividing before multiplying keeps a scaled A from
+            # overflowing or underflowing where the minor does not
+            h = g[j, i] - g.T[:, j] * (g[k, i] / g[k][:, None])
+            sums = (mags[keep] * np.abs(h)).sum(axis=1)
+            sums[(g[k] == 0.0) | ~np.isfinite(sums)] = np.inf
+            out[k] = base + sums
+    return out
 
 
 def bound_solve_entry(A: PatternedMatrix, b, k: int) -> float:
@@ -136,17 +157,29 @@ def bound_solve_entries(A: PatternedMatrix, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # finite-perturbation oracle
 
-def _sign_table(m: int) -> np.ndarray:
-    """Every nonzero sign pattern in {-1, 0, 1}^m, one float row each, in the
-    order of itertools.product((-1, 0, 1), repeat=m): row r holds the base-3
-    digits of r, most significant first, minus one. The all-zero row, the
-    middle one, is left out."""
-    codes = np.arange(3 ** m)
-    digits = np.empty((3 ** m, m), dtype=np.int8)
+# Sign patterns per oracle chunk: the trial stack of one chunk stays a few
+# megabytes, however many patterns there are.
+_ORACLE_CHUNK = 16384
+
+
+def _sign_digits(m: int, start: int, stop: int) -> np.ndarray:
+    """Base-3 digits, most significant first, of the codes in [start, stop),
+    one int8 row each; digit 0, 1, 2 stands for the sign -1, 0, +1. The
+    all-zero sign pattern, the middle code (3^m - 1) / 2, is left out."""
+    codes = np.arange(start, stop)
+    middle = (3 ** m - 1) // 2
+    if start <= middle < stop:
+        codes = np.delete(codes, middle - start)
+    digits = np.empty((len(codes), m), dtype=np.int8)
     for j in range(m - 1, -1, -1):
         codes, digits[:, j] = np.divmod(codes, 3)
-    digits -= 1
-    return np.delete(digits, (3 ** m - 1) // 2, axis=0).astype(float)
+    return digits
+
+
+def _sign_table(m: int) -> np.ndarray:
+    """Every nonzero sign pattern in {-1, 0, 1}^m, one float row each, in the
+    order of itertools.product((-1, 0, 1), repeat=m)."""
+    return (_sign_digits(m, 0, 3 ** m) - 1).astype(float)
 
 
 def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 0,
@@ -159,7 +192,11 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     -delta*|a|, 0 or +delta*|a|. All 3^m sign patterns are enumerated when the
     perturbed entry count m is at most exhaustive_limit; beyond that,
     random_trials random full-magnitude sign patterns are sampled, which makes
-    the result a lower estimate of the true supremum.
+    the result a lower estimate of the true supremum. Trials run in chunks of
+    _ORACLE_CHUNK patterns, so memory does not grow with 3^m.
+
+    A singular A gives +inf (an all-+inf array for "inv" and "solve"); a
+    perturbed trial that is exactly singular counts as an infinite distance.
 
     Returns a scalar for "det", an (n, n) array for "inv", an (n,) array for
     "solve".
@@ -179,43 +216,54 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
         n0 = a.shape[0]
         rows, cols = np.divmod(np.arange(n0 * n0), n0)
     n = a.shape[0]
-    m = len(rows) + (n if quantity == "solve" else 0)
-
-    if m <= exhaustive_limit:
-        factors = _sign_table(m)
-    else:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-        factors = rng.integers(0, 2, size=(random_trials, m)).astype(float) * 2.0 - 1.0
-
-    trials = len(factors)
-    stack = np.broadcast_to(a, (trials, n, n)).copy()
-    stack[:, rows, cols] = a[rows, cols] * (1.0 + delta * factors[:, : len(rows)])
-
-    def _dist(ref, pert):
-        """Componentwise distances with zero snapping, divided by delta."""
-        tol = ZERO_SNAP * np.abs(ref).max()
-        ref_s = np.where(np.abs(ref) > tol, ref, 0.0)
-        pert_s = np.where(np.abs(pert) > tol, pert, 0.0)
-        return componentwise_ratio(pert_s - ref_s, ref_s).max(axis=0) / delta
+    support = len(rows)
+    m = support + (n if quantity == "solve" else 0)
+    rhs = None if b is None else np.asarray(b, dtype=float)
 
     if quantity == "det":
         ref = np.linalg.det(a)
         if ref == 0.0:
             return math.inf
-        pert = np.linalg.det(stack)
-        return float(np.abs(pert - ref).max() / abs(ref) / delta)
+    else:
+        ref = (_lu_inverse(a[None]) if quantity == "inv" else _lu_solve(a[None], rhs[None]))[0]
+        if not np.isfinite(ref).all():
+            return np.full(ref.shape, np.inf)
+        tol = ZERO_SNAP * np.abs(ref).max()
+        ref_s = np.where(np.abs(ref) > tol, ref, 0.0)
 
-    if quantity == "inv":
-        ref = np.linalg.inv(a)
-        pert = np.linalg.inv(stack)
-        return _dist(ref, pert)
+    if m <= exhaustive_limit:
+        chunks = (_sign_digits(m, start, min(start + _ORACLE_CHUNK, 3 ** m))
+                  for start in range(0, 3 ** m, _ORACLE_CHUNK))
+    else:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+        draws = rng.integers(0, 2, size=(random_trials, m)) * 2
+        chunks = (draws[start:start + _ORACLE_CHUNK]
+                  for start in range(0, random_trials, _ORACLE_CHUNK))
 
-    rhs = np.asarray(b, dtype=float)
-    rhs_stack = np.broadcast_to(rhs, (trials, n)).copy()
-    rhs_stack *= 1.0 + delta * factors[:, len(rows):]
-    ref = np.linalg.solve(a, rhs)
-    pert = np.linalg.solve(stack, rhs_stack[..., None])[..., 0]
-    return _dist(ref, pert)
+    # levels[d] is the factor 1 + delta * sign for digit d; position p of the
+    # flattened matrix takes the factor of its support entry, and an entry
+    # off the support (always zero) any factor
+    levels = 1.0 + delta * np.array([-1.0, 0.0, 1.0])
+    entry_of = np.zeros(n * n, dtype=np.intp)
+    entry_of[rows * n + cols] = np.arange(support)
+    flat = a.ravel()
+    worst = 0.0
+    for digits in chunks:
+        factors = levels[digits]
+        stack = (flat * factors[:, entry_of]).reshape(-1, n, n)
+        if quantity == "det":
+            worst = np.maximum(worst, np.abs(np.linalg.det(stack) - ref).max())
+            continue
+        if quantity == "inv":
+            pert = _lu_inverse(stack)
+        else:
+            pert = _lu_solve(stack, rhs * factors[:, support:])
+        # NaN (a singular trial) is kept, so the ratio makes it +inf
+        pert_s = np.where(np.abs(pert) <= tol, 0.0, pert)
+        worst = np.maximum(worst, componentwise_ratio(pert_s - ref_s, ref_s).max(axis=0))
+    if quantity == "det":
+        return float(worst / abs(ref) / delta)
+    return worst / delta
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +300,30 @@ def _lower_inverse(stack: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lu_apply(op, stack: np.ndarray, *args) -> np.ndarray:
+    """op(stack, *args), a LAPACK solve over a stack of finite matrices and
+    per-member operands; members with an exactly zero pivot, which slogdet
+    finds only when op reports one, are NaN."""
+    try:
+        return op(stack, *args)
+    except np.linalg.LinAlgError:
+        nonsingular = np.linalg.slogdet(stack)[0] != 0.0
+        part = op(stack[nonsingular], *(x[nonsingular] for x in args))
+        out = np.full((len(stack),) + part.shape[1:], np.nan)
+        out[nonsingular] = part
+        return out
+
+
 def _lu_inverse(stack: np.ndarray) -> np.ndarray:
     """LAPACK inverse of a stack of finite matrices; members with an exactly
-    zero pivot, which slogdet finds only when inv reports one, are NaN."""
-    try:
-        return np.linalg.inv(stack)
-    except np.linalg.LinAlgError:
-        out = np.full_like(stack, np.nan)
-        nonsingular = np.linalg.slogdet(stack)[0] != 0.0
-        out[nonsingular] = np.linalg.inv(stack[nonsingular])
-        return out
+    zero pivot are NaN."""
+    return _lu_apply(np.linalg.inv, stack)
+
+
+def _lu_solve(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """LAPACK solutions of a stack of finite systems; members with an exactly
+    zero pivot are NaN."""
+    return _lu_apply(lambda s, r: np.linalg.solve(s, r[..., None])[..., 0], stack, rhs)
 
 
 def _members(array: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from sparsecond.conditioning import (
     oracle_condition,
 )
 from sparsecond.linalg import PatternedMatrix
-from sparsecond.patterns import lower_triangular_pattern, tridiagonal_pattern
+from sparsecond.patterns import lower_triangular_pattern, pattern_from_mask, tridiagonal_pattern
 
 A22 = PatternedMatrix.dense([[1.0, 2.0], [3.0, 4.0]])
 SING = PatternedMatrix.dense([[1.0, 2.0], [2.0, 4.0]])
@@ -287,6 +288,132 @@ class TestOracle:
             cf = cond_det(a)
             orc = oracle_condition("det", a, delta=delta)
             assert abs(cf - orc) / cf <= 10 * delta * cf + 1e-3
+
+
+def _explicit_inverse_bounds(a):
+    n = a.n
+    return np.array([[bound_inverse_entry(a, k, l) for l in range(1, n + 1)]
+                     for k in range(1, n + 1)])
+
+
+class TestMinorBoundsFromOneInverse:
+    """bound_inverse_entries gets every minor's inverse from one G; the
+    explicit minors of bound_inverse_entry are the reference."""
+
+    def test_singular_matrix_is_all_inf(self):
+        got = bound_inverse_entries(SING)
+        assert got.shape == (2, 2) and np.all(got == math.inf)
+        _assert_same(_explicit_inverse_bounds(SING), got)
+
+    def test_lower_triangular_structurally_singular_minors(self):
+        a = tri_matrix(np.random.default_rng(40), 6)
+        got = bound_inverse_entries(a)
+        # deleting row l and column k < l leaves a zero on the diagonal
+        assert np.array_equal(np.isinf(got), np.triu(np.ones((6, 6), dtype=bool), 1))
+        _assert_same(_explicit_inverse_bounds(a), got)
+
+    @pytest.mark.parametrize("blocks", [(2, 3), (1, 1), (1, 2, 1)])
+    def test_block_diagonal_pattern(self, blocks):
+        rng = np.random.default_rng(41)
+        n = sum(blocks)
+        mask = np.zeros((n, n), dtype=bool)
+        for start, size in zip(np.cumsum((0,) + blocks), blocks):
+            mask[start:start + size, start:start + size] = True
+        a = PatternedMatrix(pattern_from_mask(mask), rng.standard_normal((n, n)) * mask)
+        got = bound_inverse_entries(a)
+        # a minor that takes its row from one block and its column from the
+        # other is singular
+        assert np.array_equal(np.isinf(got), ~mask)
+        _assert_same(_explicit_inverse_bounds(a), got)
+
+    @pytest.mark.parametrize("value", [3.0, -0.5, 0.0])
+    def test_n1(self, value):
+        a = PatternedMatrix.dense([[value]])
+        assert_array_equal(bound_inverse_entries(a), _explicit_inverse_bounds(a))
+
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_scale_invariance_far_from_one(self, power):
+        # a power-of-two scaling is exact, so the bounds must not move a bit
+        a = PatternedMatrix.dense(np.random.default_rng(43).standard_normal((4, 4)))
+        scaled = PatternedMatrix.dense(a.entries * 2.0 ** power)
+        assert_array_equal(bound_inverse_entries(scaled), bound_inverse_entries(a))
+
+    def test_tridiagonal_n40(self):
+        rng = np.random.default_rng(42)
+        pat = tridiagonal_pattern(40)
+        entries = rng.uniform(-1.0, 1.0, (40, 40)) + np.diag(rng.uniform(3.0, 4.0, 40))
+        a = PatternedMatrix(pat, entries * pat.mask)
+        got = bound_inverse_entries(a)
+        assert np.isfinite(got).all()
+        assert_allclose(got, _explicit_inverse_bounds(a), rtol=1e-9)
+
+
+class TestOracleChunks:
+    """Trials run in chunks of sign codes; neither the chunk size nor a chunk
+    boundary changes a bit of the result."""
+
+    CASES = [
+        ("det", PatternedMatrix.dense([[2.0, -1.0], [0.5, 3.0]]), None, {}),
+        ("inv", PatternedMatrix.dense([[2.0, -1.0], [0.5, 3.0]]), None, {}),
+        ("solve", PatternedMatrix.dense([[2.0, -1.0], [0.5, 3.0]]), [1.0, -2.0], {}),
+        ("det", PatternedMatrix(tridiagonal_pattern(3), [[2.0, 1.0, 0.0], [0.5, 3.0, -1.0],
+                                                          [0.0, 1.0, 2.0]]), None, {}),
+        ("inv", PatternedMatrix(tridiagonal_pattern(3), [[2.0, 1.0, 0.0], [0.5, 3.0, -1.0],
+                                                          [0.0, 1.0, 2.0]]), None, {}),
+        ("solve", PatternedMatrix(lower_triangular_pattern(2), [[2.0, 0.0], [0.5, 3.0]]),
+         [1.0, 4.0], {}),
+        # random sign patterns beyond the exhaustive limit
+        ("det", PatternedMatrix.dense([[2.0, -1.0], [0.5, 3.0]]), None,
+         {"exhaustive_limit": 2, "random_trials": 50, "seed": 5}),
+        ("inv", PatternedMatrix.dense([[2.0, -1.0], [0.5, 3.0]]), None,
+         {"exhaustive_limit": 2, "random_trials": 50, "seed": 5}),
+        ("solve", PatternedMatrix.dense([[2.0, -1.0], [0.5, 3.0]]), [1.0, -2.0],
+         {"exhaustive_limit": 2, "random_trials": 50, "seed": 5}),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_chunk_size_invariance(self, case, monkeypatch):
+        quantity, a, b, kwargs = self.CASES[case]
+        expected = np.asarray(oracle_condition(quantity, a, b, **kwargs))
+        for chunk in (7, 3 ** 8 + 1):
+            monkeypatch.setattr(conditioning, "_ORACLE_CHUNK", chunk)
+            got = np.asarray(oracle_condition(quantity, a, b, **kwargs))
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", range(0, 7))
+    def test_chunked_digits_are_the_sign_table(self, m):
+        table = conditioning._sign_table(m)
+        chunks = [conditioning._sign_digits(m, start, min(start + 5, 3 ** m))
+                  for start in range(0, 3 ** m, 5)]
+        assert_array_equal(np.concatenate(chunks) - 1.0, table)
+
+    def test_memory_does_not_grow_with_the_pattern_count(self):
+        a = PatternedMatrix.dense([[3.0, 1.0, -0.5], [0.5, 2.5, 1.0], [-1.0, 0.5, 4.0]])
+        tracemalloc.start()
+        try:
+            got = oracle_condition("solve", a, [1.0, -2.0, 0.5])  # m = 12
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(got).all()
+        assert peak <= 32e6
+
+    def test_singular_reference_is_inf(self):
+        assert oracle_condition("det", SING) == math.inf
+        inv = oracle_condition("inv", SING)
+        assert inv.shape == (2, 2) and np.all(inv == math.inf)
+        sol = oracle_condition("solve", SING, [1.0, 1.0])
+        assert sol.shape == (2,) and np.all(sol == math.inf)
+
+    def test_singular_trial_is_an_infinite_distance(self):
+        delta = 1e-6
+        # perturbing a12 by +delta makes it equal to a22 = fl(1 + delta),
+        # so LU meets an exactly zero pivot on that trial
+        a = PatternedMatrix.dense([[1.0, 1.0], [1.0, 1.0 + delta]])
+        inv = oracle_condition("inv", a, delta=delta)
+        assert inv.shape == (2, 2) and np.all(inv == math.inf)
+        sol = oracle_condition("solve", a, [1.0, 2.0], delta=delta)
+        assert sol.shape == (2,) and np.all(sol == math.inf)
 
 
 class TestBatchKernels:
