@@ -186,14 +186,12 @@ def cmd_cond(args) -> int:
     try:
         entries = read_matrix_file(args.matrix)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise SpecError(str(exc)) from exc
     if args.pattern:
         try:
             pattern = read_pattern_file(args.pattern)
         except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise SpecError(str(exc)) from exc
         if pattern.n != entries.shape[0]:
             print(f"error: pattern n={pattern.n} does not match matrix n={entries.shape[0]}",
                   file=sys.stderr)
@@ -205,8 +203,7 @@ def cmd_cond(args) -> int:
         try:
             rhs = read_vector_file(args.rhs)
         except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise SpecError(str(exc)) from exc
         if len(rhs) != entries.shape[0]:
             print(f"error: rhs length {len(rhs)} does not match matrix n={entries.shape[0]}",
                   file=sys.stderr)
@@ -215,8 +212,7 @@ def cmd_cond(args) -> int:
         mat = (PatternedMatrix(pattern, entries) if pattern is not None
                else PatternedMatrix.dense(entries))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise SpecError(str(exc)) from exc
     report = condition_report(mat, rhs)
     sys.stdout.write(report.to_text(entries=args.entries))
     if args.csv:
@@ -362,10 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PatternedMatrix, as_array, format17, minor, replace_column
+from .linalg import (PatternedMatrix, _batched_inverse, _lu_inverse, _lu_solve, _members,
+                     as_array, determinant, format17, minor, replace_column)
 
 # Entries of computed inverses (and solutions) this far below the largest
 # entry are treated as exact zeros when deciding the 0 / inf output
@@ -195,8 +196,9 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     the result a lower estimate of the true supremum. Trials run in chunks of
     _ORACLE_CHUNK patterns, so memory does not grow with 3^m.
 
-    A singular A gives +inf (an all-+inf array for "inv" and "solve"); a
-    perturbed trial that is exactly singular counts as an infinite distance.
+    A singular or non-finite A gives +inf (an all-+inf array for "inv" and
+    "solve"); a perturbed trial that is exactly singular counts as an
+    infinite distance.
 
     Returns a scalar for "det", an (n, n) array for "inv", an (n,) array for
     "solve".
@@ -221,13 +223,16 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     rhs = None if b is None else np.asarray(b, dtype=float)
 
     if quantity == "det":
-        ref = np.linalg.det(a)
+        ref = determinant(a)
         if ref == 0.0:
             return math.inf
     else:
+        shape = (n, n) if quantity == "inv" else (n,)
+        if not np.isfinite(a).all():
+            return np.full(shape, np.inf)
         ref = (_lu_inverse(a[None]) if quantity == "inv" else _lu_solve(a[None], rhs[None]))[0]
         if not np.isfinite(ref).all():
-            return np.full(ref.shape, np.inf)
+            return np.full(shape, np.inf)
         tol = ZERO_SNAP * np.abs(ref).max()
         ref_s = np.where(np.abs(ref) > tol, ref, 0.0)
 
@@ -268,94 +273,7 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
 
 # ---------------------------------------------------------------------------
 # batched kernels: the only implementation; the scalar functions above run
-# them on a batch of one
-
-def _is_lower(stack: np.ndarray) -> np.ndarray:
-    """Mask of the members with no nonzero strictly above the diagonal."""
-    n = stack.shape[-1]
-    upper = np.zeros(stack.shape[0], dtype=bool)
-    for i in range(n - 1):
-        upper |= stack[:, i, i + 1:].any(axis=-1)
-        if upper.all():
-            break
-    return ~upper
-
-
-def _lower_inverse(stack: np.ndarray) -> np.ndarray:
-    """Inverse of a (M, n, n) stack of lower-triangular matrices by forward
-    substitution, row by row and vectorised over the stack.
-
-    Entries above the diagonal stay exactly zero. An exactly zero diagonal
-    entry (LU's zero pivot on this path) makes its row and all later ones
-    non-finite; no warning is raised for it or for an overflow.
-    """
-    n = stack.shape[-1]
-    out = np.zeros_like(stack)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(n):
-            out[:, i, i] = 1.0
-            if i:
-                out[:, i, :i] = -(stack[:, i, None, :i] @ out[:, :i, :i])[:, 0]
-            out[:, i, : i + 1] /= stack[:, i, i, None]
-    return out
-
-
-def _lu_apply(op, stack: np.ndarray, *args) -> np.ndarray:
-    """op(stack, *args), a LAPACK solve over a stack of finite matrices and
-    per-member operands; members with an exactly zero pivot, which slogdet
-    finds only when op reports one, are NaN."""
-    try:
-        return op(stack, *args)
-    except np.linalg.LinAlgError:
-        nonsingular = np.linalg.slogdet(stack)[0] != 0.0
-        part = op(stack[nonsingular], *(x[nonsingular] for x in args))
-        out = np.full((len(stack),) + part.shape[1:], np.nan)
-        out[nonsingular] = part
-        return out
-
-
-def _lu_inverse(stack: np.ndarray) -> np.ndarray:
-    """LAPACK inverse of a stack of finite matrices; members with an exactly
-    zero pivot are NaN."""
-    return _lu_apply(np.linalg.inv, stack)
-
-
-def _lu_solve(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LAPACK solutions of a stack of finite systems; members with an exactly
-    zero pivot are NaN."""
-    return _lu_apply(lambda s, r: np.linalg.solve(s, r[..., None])[..., 0], stack, rhs)
-
-
-def _members(array: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """array[mask], without the copy when the mask selects every member."""
-    return array if mask.all() else array[mask]
-
-
-def _batched_inverse(stack: np.ndarray):
-    """Inverse of a (M, n, n) stack and the mask of members that have one.
-
-    The singularity rule: a member is singular when it has a non-finite
-    entry, when LU meets an exactly zero pivot, or when its inverse
-    overflows. Lower-triangular members are inverted by substitution, where
-    the zero pivot is an exactly zero diagonal entry; every other finite
-    member is factorized once by LAPACK. Which path a member takes depends
-    on its own entries only.
-    """
-    ok = np.isfinite(stack).all(axis=(-1, -2))
-    lower = ok & _is_lower(stack)
-    general = ok & ~lower
-    if lower.all():
-        out = _lower_inverse(stack)
-    elif general.all():
-        out = _lu_inverse(stack)
-    else:
-        out = np.full_like(stack, np.nan)
-        for mask, invert in ((lower, _lower_inverse), (general, _lu_inverse)):
-            if mask.any():
-                out[mask] = invert(stack[mask])
-    ok &= np.isfinite(out).all(axis=(-1, -2))
-    return out, ok
-
+# them on a batch of one, and all of them invert through linalg._batched_inverse
 
 def batch_cond_det(stack: np.ndarray) -> np.ndarray:
     """cond_det of every matrix in a (M, n, n) stack; inf where singular."""

@@ -1,9 +1,10 @@
 """Dense linear algebra for small matrices with first-class sparsity patterns.
 
-LU with partial pivoting, determinant, inverse, solve, minors and column
-replacement. Singularity is a value (SINGULAR), not an exception: callers map
-it to an infinite condition number. Row/column arguments are 1-based, matching
-the documentation and file formats.
+Determinant, inverse and solve, minors and column replacement. The scalar
+routines are a batch of one on the batched inverse that the condition kernels
+use, so both follow one singularity rule. Singularity is a value (SINGULAR),
+not an exception: callers map it to an infinite condition number.
+Row/column arguments are 1-based, matching the documentation and file formats.
 """
 
 from __future__ import annotations
@@ -72,97 +73,127 @@ def as_array(A) -> np.ndarray:
     return np.asarray(A, dtype=float)
 
 
-@dataclass(frozen=True)
-class LuFactorization:
-    """Partial-pivoting LU: A[perm] == lower @ upper, sign = permutation parity.
+# ---------------------------------------------------------------------------
+# batched inverse: the one home of the singularity rule; the scalar routines
+# below and the condition kernels run on it
 
-    perm is a 0-based row order; lower is unit lower triangular.
+def _is_lower(stack: np.ndarray) -> np.ndarray:
+    """Mask of the members with no nonzero strictly above the diagonal."""
+    n = stack.shape[-1]
+    upper = np.zeros(stack.shape[0], dtype=bool)
+    for i in range(n - 1):
+        upper |= stack[:, i, i + 1:].any(axis=-1)
+        if upper.all():
+            break
+    return ~upper
+
+
+def _lower_inverse(stack: np.ndarray) -> np.ndarray:
+    """Inverse of a (M, n, n) stack of lower-triangular matrices by forward
+    substitution, row by row and vectorised over the stack.
+
+    Entries above the diagonal stay exactly zero. An exactly zero diagonal
+    entry (LU's zero pivot on this path) makes its row and all later ones
+    non-finite; no warning is raised for it or for an overflow.
     """
-
-    perm: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    sign: int
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-
-def lu_factor(A):
-    """LU with partial pivoting; returns SINGULAR for a non-finite entry or an
-    exactly zero pivot, the rule the batched condition kernels use."""
-    a = as_array(A)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if n == 0:
-        return LuFactorization(np.zeros(0, dtype=np.intp), np.zeros((0, 0)), np.zeros((0, 0)), 1)
-    if not np.isfinite(a).all():
-        return SINGULAR
-    u = a.astype(float).copy()
-    lower = np.eye(n)
-    perm = np.arange(n)
-    sign = 1
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(u[k:, k])))
-        if u[p, k] == 0.0:
-            return SINGULAR
-        if p != k:
-            u[[k, p], k:] = u[[p, k], k:]
-            lower[[k, p], :k] = lower[[p, k], :k]
-            perm[[k, p]] = perm[[p, k]]
-            sign = -sign
-        factors = u[k + 1 :, k] / u[k, k]
-        lower[k + 1 :, k] = factors
-        u[k + 1 :, k:] -= np.outer(factors, u[k, k:])
-        u[k + 1 :, k] = 0.0
-    return LuFactorization(perm, lower, np.triu(u), sign)
+    n = stack.shape[-1]
+    out = np.zeros_like(stack)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(n):
+            out[:, i, i] = 1.0
+            if i:
+                out[:, i, :i] = -(stack[:, i, None, :i] @ out[:, :i, :i])[:, 0]
+            out[:, i, : i + 1] /= stack[:, i, i, None]
+    return out
 
 
-def lu_solve(fac: LuFactorization, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B given the factorization of A (B may be a vector or matrix)."""
-    b = np.asarray(B, dtype=float)
-    vector = b.ndim == 1
-    y = b[fac.perm].reshape(fac.n, -1).copy()
-    L, U = fac.lower, fac.upper
-    for i in range(1, fac.n):
-        y[i] -= L[i, :i] @ y[:i]
-    for i in range(fac.n - 1, -1, -1):
-        y[i] = (y[i] - U[i, i + 1 :] @ y[i + 1 :]) / U[i, i]
-    return y[:, 0] if vector else y
+def _lu_apply(op, stack: np.ndarray, *args) -> np.ndarray:
+    """op(stack, *args), a LAPACK solve over a stack of finite matrices and
+    per-member operands; members with an exactly zero pivot, which slogdet
+    finds only when op reports one, are NaN."""
+    try:
+        return op(stack, *args)
+    except np.linalg.LinAlgError:
+        nonsingular = np.linalg.slogdet(stack)[0] != 0.0
+        part = op(stack[nonsingular], *(x[nonsingular] for x in args))
+        out = np.full((len(stack),) + part.shape[1:], np.nan)
+        out[nonsingular] = part
+        return out
+
+
+def _lu_inverse(stack: np.ndarray) -> np.ndarray:
+    """LAPACK inverse of a stack of finite matrices; members with an exactly
+    zero pivot are NaN."""
+    return _lu_apply(np.linalg.inv, stack)
+
+
+def _lu_solve(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """LAPACK solutions of a stack of finite systems; members with an exactly
+    zero pivot are NaN."""
+    return _lu_apply(lambda s, r: np.linalg.solve(s, r[..., None])[..., 0], stack, rhs)
+
+
+def _members(array: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """array[mask], without the copy when the mask selects every member."""
+    return array if mask.all() else array[mask]
+
+
+def _batched_inverse(stack: np.ndarray):
+    """Inverse of a (M, n, n) stack and the mask of members that have one.
+
+    The singularity rule: a member is singular when it has a non-finite
+    entry, when LU meets an exactly zero pivot, or when its inverse
+    overflows. Lower-triangular members are inverted by substitution, where
+    the zero pivot is an exactly zero diagonal entry; every other finite
+    member is factorized once by LAPACK. Which path a member takes depends
+    on its own entries only.
+    """
+    ok = np.isfinite(stack).all(axis=(-1, -2))
+    lower = ok & _is_lower(stack)
+    general = ok & ~lower
+    if lower.all():
+        out = _lower_inverse(stack)
+    elif general.all():
+        out = _lu_inverse(stack)
+    else:
+        out = np.full_like(stack, np.nan)
+        for mask, invert in ((lower, _lower_inverse), (general, _lu_inverse)):
+            if mask.any():
+                out[mask] = invert(stack[mask])
+    ok &= np.isfinite(out).all(axis=(-1, -2))
+    return out, ok
 
 
 def determinant(A) -> float:
-    """det(A) via LU; exactly 0.0 for singular input."""
+    """det(A) by LAPACK, +-inf where it overflows; exactly 0.0 for input that
+    is singular under the rule of _batched_inverse."""
     a = as_array(A)
-    if a.shape[0] == 0:
-        return 1.0
-    fac = lu_factor(a)
-    if fac is SINGULAR:
-        return 0.0
-    return float(fac.sign * np.prod(np.diag(fac.upper)))
+    with np.errstate(over="ignore"):
+        return 0.0 if inverse(a) is SINGULAR else float(np.linalg.det(a))
 
 
 def inverse(A):
-    """A^-1 as a dense array, or SINGULAR."""
+    """A^-1 as a dense array, or SINGULAR: a batch of one on _batched_inverse."""
     a = as_array(A)
-    fac = lu_factor(a)
-    if fac is SINGULAR:
-        return SINGULAR
-    return lu_solve(fac, np.eye(a.shape[0]))
+    if a.shape != (a.shape[0], a.shape[0]):
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    g, ok = _batched_inverse(a[None])
+    return g[0] if ok[0] else SINGULAR
 
 
 def solve(A, b):
-    """Solution of A x = b, or SINGULAR."""
+    """Solution of A x = b as A^-1 b, or SINGULAR when A is singular or the
+    solution is not finite (the rule of the solve condition kernel)."""
     a = as_array(A)
     rhs = np.asarray(b, dtype=float)
     if rhs.shape != (a.shape[0],):
         raise ValueError(f"rhs length {rhs.shape} does not match matrix dimension {a.shape[0]}")
-    fac = lu_factor(a)
-    if fac is SINGULAR:
+    g = inverse(a)
+    if g is SINGULAR:
         return SINGULAR
-    return lu_solve(fac, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = g @ rhs
+    return x if np.isfinite(x).all() else SINGULAR
 
 
 def minor(A: PatternedMatrix, i: int, j: int) -> "PatternedMatrix | None":

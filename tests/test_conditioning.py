@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from sparsecond import conditioning
+from sparsecond import conditioning, linalg
 from sparsecond.conditioning import (
     batch_cond_det,
     batch_cond_inverse,
@@ -399,11 +399,13 @@ class TestOracleChunks:
         assert peak <= 32e6
 
     def test_singular_reference_is_inf(self):
-        assert oracle_condition("det", SING) == math.inf
-        inv = oracle_condition("inv", SING)
-        assert inv.shape == (2, 2) and np.all(inv == math.inf)
-        sol = oracle_condition("solve", SING, [1.0, 1.0])
-        assert sol.shape == (2,) and np.all(sol == math.inf)
+        # LAPACK inverts the non-finite matrix to a finite one without raising
+        for a in (SING, PatternedMatrix.dense([[math.inf, 0.0], [0.0, 1.0]])):
+            assert oracle_condition("det", a) == math.inf
+            inv = oracle_condition("inv", a)
+            assert inv.shape == (2, 2) and np.all(inv == math.inf)
+            sol = oracle_condition("solve", a, [1.0, 1.0])
+            assert sol.shape == (2,) and np.all(sol == math.inf)
 
     def test_singular_trial_is_an_infinite_distance(self):
         delta = 1e-6
@@ -510,10 +512,10 @@ class TestLowerTriangularPath:
         special, special_rhs = self._special_members(n)
         stack = np.concatenate([_well_conditioned_lower(rng, 40, n), special])
         rhs = np.concatenate([rng.standard_normal((40, n)), special_rhs])
-        g, ok = conditioning._batched_inverse(stack)
+        g, ok = linalg._batched_inverse(stack)
         got = self._kernels(stack, rhs)
-        monkeypatch.setattr(conditioning, "_is_lower", lambda s: np.zeros(len(s), dtype=bool))
-        g_ref, ok_ref = conditioning._batched_inverse(stack)
+        monkeypatch.setattr(linalg, "_is_lower", lambda s: np.zeros(len(s), dtype=bool))
+        g_ref, ok_ref = linalg._batched_inverse(stack)
         ref = self._kernels(stack, rhs)
         assert list(ok) == list(ok_ref) == [True] * 40 + [False] * 4 + [True]
         assert_allclose(g[:40], g_ref[:40], rtol=1e-9, atol=1e-15)
@@ -524,7 +526,7 @@ class TestLowerTriangularPath:
     def test_entries_above_diagonal_are_exactly_zero(self):
         rng = np.random.default_rng(11)
         stack = np.tril(rng.standard_normal((200, 30, 30)))
-        g, ok = conditioning._batched_inverse(stack)
+        g, ok = linalg._batched_inverse(stack)
         rows, cols = np.triu_indices(30, 1)
         assert ok.all()
         assert (g[:, rows, cols] == 0.0).all()
@@ -555,7 +557,7 @@ class TestLowerTriangularPath:
     def test_matches_exact_rational_inverse(self, n):
         rng = np.random.default_rng(100 + n)
         stack = np.tril(rng.standard_normal((4, n, n)))
-        g, ok = conditioning._batched_inverse(stack)
+        g, ok = linalg._batched_inverse(stack)
         assert ok.all()
         for a, got in zip(stack, g):
             exact = _exact_lower_inverse(a)

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from sparsecond.conditioning import cond_det, cond_solve_entries
 from sparsecond.linalg import (
     SINGULAR,
     PatternedMatrix,
+    _batched_inverse,
     determinant,
     inverse,
-    lu_factor,
     minor,
     read_matrix_file,
     read_vector_file,
@@ -32,33 +35,6 @@ def test_patterned_matrix_identity_restricted():
     assert_array_equal(m.entries, np.eye(3))
 
 
-def test_lu_identity():
-    fac = lu_factor(np.eye(3))
-    assert_array_equal(fac.lower, np.eye(3))
-    assert_array_equal(fac.upper, np.eye(3))
-    assert fac.sign == 1
-
-
-def test_lu_permutation_sign():
-    fac = lu_factor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert fac.sign == -1
-    assert determinant(np.array([[0.0, 1.0], [1.0, 0.0]])) == -1.0
-
-
-def test_lu_singular_rank_one():
-    assert lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]])) is SINGULAR
-
-
-def test_lu_composition():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        a = rng.standard_normal((6, 6))
-        fac = lu_factor(a)
-        assert fac is not SINGULAR
-        recomposed = fac.lower @ fac.upper
-        assert_allclose(recomposed, a[fac.perm], rtol=0, atol=COMPOSE_RTOL * np.abs(a).max())
-
-
 def test_determinant_examples():
     assert determinant(np.eye(4)) == 1.0
     # 2x2 cofactor oracle: a11 a22 - a12 a21
@@ -66,6 +42,7 @@ def test_determinant_examples():
     assert determinant(a) == pytest.approx(1.0 * 4.0 - 2.0 * 3.0, rel=1e-12)
     assert determinant(np.diag([2.0, 3.0, 4.0])) == pytest.approx(24.0, rel=1e-12)
     assert determinant(np.array([[1.0, 2.0], [2.0, 4.0]])) == 0.0
+    assert determinant(np.array([[0.0, 1.0], [1.0, 0.0]])) == -1.0
 
 
 def test_determinant_permutation_parity():
@@ -112,6 +89,46 @@ def test_solve_residual():
             continue
         scale = np.abs(b).max() + np.abs(a).max() * np.abs(x).max()
         assert np.abs(a @ x - b).max() <= COMPOSE_RTOL * scale
+
+
+def _singularity_rule_inputs(rng):
+    """Exactly singular small-integer matrices (products of integer n x (n-1)
+    and (n-1) x n factors with entries in [-3, 3], every second one scaled by
+    10^k), then random dense and lower-triangular ones."""
+    for i in range(2000):
+        n = int(rng.integers(2, 7))
+        a = (rng.integers(-3, 4, (n, n - 1)) @ rng.integers(-3, 4, (n - 1, n))).astype(float)
+        yield a * 10.0 ** int(rng.integers(-10, 11)) if i % 2 else a
+    for n in rng.integers(1, 9, 200):
+        yield rng.standard_normal((n, n))
+    for n in rng.integers(1, 31, 200):
+        # integer diagonals are sometimes exactly zero
+        entries = rng.standard_normal((n, n)) if n % 2 else rng.integers(-3, 4, (n, n)) * 1.0
+        yield np.tril(entries)
+
+
+@pytest.mark.filterwarnings("error")
+def test_scalar_routines_follow_the_kernel_singularity_rule():
+    rng = np.random.default_rng(31)
+    singular = 0
+    for a in _singularity_rule_inputs(rng):
+        b = rng.standard_normal(len(a))
+        g = inverse(a)
+        assert (g is SINGULAR) == (cond_det(a) == math.inf)
+        if g is SINGULAR:
+            singular += 1
+            assert determinant(a) == 0.0
+        else:
+            assert g.tobytes() == _batched_inverse(a[None])[0][0].tobytes()
+        assert (solve(a, b) is SINGULAR) == bool(np.isinf(cond_solve_entries(a, b)).all())
+    assert 0 < singular < 2400
+    tiny = np.array([[1e-320]])
+    assert inverse(tiny) is SINGULAR and solve(tiny, [1.0]) is SINGULAR
+    assert determinant(tiny) == 0.0
+    # a finite inverse whose solution overflows
+    assert solve([[1e-300]], [1e10]) is SINGULAR
+    assert cond_solve_entries([[1e-300]], [1e10])[0] == math.inf
+    assert determinant(1e20 * np.eye(30)) == math.inf
 
 
 def test_minor_examples():
