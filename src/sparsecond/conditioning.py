@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (PatternedMatrix, _batched_inverse, _lu_inverse, _lu_solve, _members,
-                     as_array, determinant, format17, minor, replace_column)
+                     as_array, format17, minor, replace_column)
 
 # Entries of computed inverses (and solutions) this far below the largest
 # entry are treated as exact zeros when deciding the 0 / inf output
@@ -162,6 +162,12 @@ def bound_solve_entries(A: PatternedMatrix, b) -> np.ndarray:
 # megabytes, however many patterns there are.
 _ORACLE_CHUNK = 16384
 
+# Largest n whose oracle trials are evaluated by cofactors. Up to 4 x 4 the
+# Laplace expansion is at most a few hundred vector operations per chunk,
+# far cheaper than LAPACK's per-matrix call cost; beyond, its cost grows
+# factorially.
+_COFACTOR_MAX_N = 4
+
 
 def _sign_digits(m: int, start: int, stop: int) -> np.ndarray:
     """Base-3 digits, most significant first, of the codes in [start, stop),
@@ -183,6 +189,85 @@ def _sign_table(m: int) -> np.ndarray:
     return (_sign_digits(m, 0, 3 ** m) - 1).astype(float)
 
 
+def _prescaled(x: np.ndarray) -> np.ndarray:
+    """Finite x times the power of two that puts its largest magnitude in
+    [1, 2). The scaling is exact unless it takes an entry into the subnormal
+    range, so relative distances do not move, and the closed forms of a
+    small matrix neither overflow nor underflow."""
+    top = np.abs(x).max(initial=0.0)
+    return np.ldexp(x, 1 - np.frexp(top)[1]) if top > 0.0 else x
+
+
+def _cofactor_det(rows: tuple, cols: tuple, entry: dict, memo: dict):
+    """Determinant of the submatrix on the sorted rows and columns by Laplace
+    expansion along its first row, with every minor memoised in memo. entry
+    maps each support position (i, j) to its values; a structural zero is
+    skipped, not multiplied, and a structurally singular submatrix is None."""
+    if not rows:
+        return 1.0
+    key = (rows, cols)
+    if key not in memo:
+        total = None
+        for p, c in enumerate(cols):
+            a = entry.get((rows[0], c))
+            sub = None if a is None else _cofactor_det(rows[1:], cols[:p] + cols[p + 1:],
+                                                       entry, memo)
+            if sub is None:
+                continue
+            term = a * sub
+            if total is None:
+                total = -term if p % 2 else term
+            else:
+                total = total - term if p % 2 else total + term
+        memo[key] = total
+    return memo[key]
+
+
+def _cofactor_values(quantity: str, n: int, rows, cols, perturbed: np.ndarray) -> np.ndarray:
+    """What _lapack_values returns, by cofactors: det is the expansion
+    itself, the inverse adj / det and the solution adj b / det. For "inv" and
+    "solve", a trial whose determinant is exactly zero is NaN."""
+    width = perturbed.shape[1]
+    entry = dict(zip(zip(rows.tolist(), cols.tolist()), perturbed))
+    memo: dict = {}
+    every = tuple(range(n))
+    det = _cofactor_det(every, every, entry, memo)
+    if det is None:
+        det = np.zeros(width)
+    if quantity == "det":
+        return det[:, None]
+    adj = np.zeros((n, n, width))
+    for i in range(n):
+        for j in range(n):
+            minor = _cofactor_det(every[:i] + every[i + 1:], every[:j] + every[j + 1:],
+                                  entry, memo)
+            if minor is not None:
+                adj[j, i] = -minor if (i + j) % 2 else minor
+    det = np.where(det == 0.0, np.nan, det)
+    with np.errstate(over="ignore"):
+        if quantity == "inv":
+            return (adj / det).reshape(n * n, width).T
+        return ((adj * perturbed[len(rows):]).sum(axis=1) / det).T
+
+
+def _lapack_values(quantity: str, n: int, rows, cols, perturbed: np.ndarray) -> np.ndarray:
+    """The quantity on every trial, one row each: det (one column), the
+    row-major inverse (n * n) or the solution (n). Row e of perturbed holds
+    the values of perturbed entry e in every trial: the support entries in
+    the order of (rows, cols), then b. A trial that LAPACK finds exactly
+    singular is NaN for "inv" and "solve"."""
+    width = perturbed.shape[1]
+    support = len(rows)
+    stack = np.zeros((width, n * n))
+    stack[:, rows * n + cols] = perturbed[:support].T
+    stack = stack.reshape(width, n, n)
+    if quantity == "det":
+        return np.linalg.det(stack)[:, None]
+    if quantity == "inv":
+        return _lu_inverse(stack).reshape(width, n * n)
+    return _lu_solve(stack, perturbed[support:].T)
+
+
 def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 0,
                      exhaustive_limit: int = 12, random_trials: int = 10_000):
     """Estimate condition numbers straight from their definition.
@@ -196,45 +281,64 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     the result a lower estimate of the true supremum. Trials run in chunks of
     _ORACLE_CHUNK patterns, so memory does not grow with 3^m.
 
-    A singular or non-finite A gives +inf (an all-+inf array for "inv" and
-    "solve"); a perturbed trial that is exactly singular counts as an
-    infinite distance.
+    A and b are first scaled, each by a power of two, so that their largest
+    entry lies in [1, 2); the result does not depend on their scale. Up to
+    n = 4 every trial is evaluated by cofactors, where an exactly zero
+    determinant makes a trial singular; larger n use LAPACK, where an exactly
+    zero pivot does. A singular trial counts as an infinite distance. A
+    singular (under the rule of linalg._batched_inverse) or non-finite A
+    gives +inf (an all-+inf array for "inv" and "solve").
 
     Returns a scalar for "det", an (n, n) array for "inv", an (n,) array for
-    "solve".
+    "solve"; like the closed forms, 0.0 or an empty array for a 0 x 0 A.
     """
     if delta <= 0.0:
         raise ValueError(f"perturbation scale must be positive, got {delta}")
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {_QUANTITIES}")
-    if quantity == "solve" and b is None:
-        raise ValueError("quantity 'solve' needs a right-hand side")
-
+    if random_trials < 1:
+        raise ValueError(f"random_trials must be at least 1, got {random_trials}")
+    a = as_array(A)
+    n = a.shape[0] if a.ndim else 0
+    if a.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    rhs = None
+    if quantity == "solve":
+        if b is None:
+            raise ValueError("quantity 'solve' needs a right-hand side")
+        rhs = np.asarray(b, dtype=float)
+        if rhs.shape != (n,):
+            raise ValueError(f"rhs length {rhs.shape} does not match matrix dimension {n}")
+    shape = {"det": (), "inv": (n, n), "solve": (n,)}[quantity]
+    if n == 0:
+        return 0.0 if quantity == "det" else np.zeros(shape)
+    singular = math.inf if quantity == "det" else np.full(shape, np.inf)
+    if not (np.isfinite(a).all() and (rhs is None or np.isfinite(rhs).all())):
+        return singular
+    a = _prescaled(a)
+    if not _batched_inverse(a[None])[1][0]:
+        return singular
     if isinstance(A, PatternedMatrix):
-        a = A.entries
         rows, cols = A.pattern.index_arrays
     else:
-        a = np.asarray(A, dtype=float)
-        n0 = a.shape[0]
-        rows, cols = np.divmod(np.arange(n0 * n0), n0)
-    n = a.shape[0]
-    support = len(rows)
-    m = support + (n if quantity == "solve" else 0)
-    rhs = None if b is None else np.asarray(b, dtype=float)
+        rows, cols = np.divmod(np.arange(n * n), n)
+    entries = a[rows, cols]
+    if rhs is not None:
+        entries = np.concatenate([entries, _prescaled(rhs)])
+    m = len(entries)
+    values = _cofactor_values if n <= _COFACTOR_MAX_N else _lapack_values
 
-    if quantity == "det":
-        ref = determinant(a)
-        if ref == 0.0:
-            return math.inf
-    else:
-        shape = (n, n) if quantity == "inv" else (n,)
-        if not np.isfinite(a).all():
-            return np.full(shape, np.inf)
-        ref = (_lu_inverse(a[None]) if quantity == "inv" else _lu_solve(a[None], rhs[None]))[0]
-        if not np.isfinite(ref).all():
-            return np.full(shape, np.inf)
-        tol = ZERO_SNAP * np.abs(ref).max()
-        ref_s = np.where(np.abs(ref) > tol, ref, 0.0)
+    # levels[d] is the factor 1 + delta * sign for digit d, and row e of
+    # `table` holds the three values perturbed entry e can take; the
+    # reference is the middle column, where the factor is exactly 1, so the
+    # reference and the trials round the same way
+    levels = 1.0 + delta * np.array([-1.0, 0.0, 1.0])
+    table = entries[:, None] * levels
+    ref = values(quantity, n, rows, cols, table[:, 1:2])[0]
+    if not np.isfinite(ref).all() or (quantity == "det" and ref[0] == 0.0):
+        return singular
+    tol = 0.0 if quantity == "det" else ZERO_SNAP * np.abs(ref).max()
+    ref_s = np.where(np.abs(ref) > tol, ref, 0.0)
 
     if m <= exhaustive_limit:
         chunks = (_sign_digits(m, start, min(start + _ORACLE_CHUNK, 3 ** m))
@@ -244,31 +348,17 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
         draws = rng.integers(0, 2, size=(random_trials, m)) * 2
         chunks = (draws[start:start + _ORACLE_CHUNK]
                   for start in range(0, random_trials, _ORACLE_CHUNK))
-
-    # levels[d] is the factor 1 + delta * sign for digit d; position p of the
-    # flattened matrix takes the factor of its support entry, and an entry
-    # off the support (always zero) any factor
-    levels = 1.0 + delta * np.array([-1.0, 0.0, 1.0])
-    entry_of = np.zeros(n * n, dtype=np.intp)
-    entry_of[rows * n + cols] = np.arange(support)
-    flat = a.ravel()
+    entry_index = np.arange(m)[:, None]
     worst = 0.0
     for digits in chunks:
-        factors = levels[digits]
-        stack = (flat * factors[:, entry_of]).reshape(-1, n, n)
-        if quantity == "det":
-            worst = np.maximum(worst, np.abs(np.linalg.det(stack) - ref).max())
-            continue
-        if quantity == "inv":
-            pert = _lu_inverse(stack)
-        else:
-            pert = _lu_solve(stack, rhs * factors[:, support:])
+        pert = values(quantity, n, rows, cols, table[entry_index, digits.T])
         # NaN (a singular trial) is kept, so the ratio makes it +inf
         pert_s = np.where(np.abs(pert) <= tol, 0.0, pert)
-        worst = np.maximum(worst, componentwise_ratio(pert_s - ref_s, ref_s).max(axis=0))
-    if quantity == "det":
-        return float(worst / abs(ref) / delta)
-    return worst / delta
+        worst = np.maximum(worst, np.abs(pert_s - ref_s).max(axis=0))
+    # the largest distance over the trials, divided once: division by |ref|
+    # is monotone, so this is the largest ratio
+    dist = componentwise_ratio(worst, ref_s) / delta
+    return float(dist[0]) if quantity == "det" else dist.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +379,7 @@ def batch_cond_det(stack: np.ndarray) -> np.ndarray:
 def _snap_batch(values: np.ndarray, axes) -> np.ndarray:
     """Magnitudes with entries below ZERO_SNAP times the largest set to zero."""
     mags = np.abs(values)
-    top = mags.max(axis=axes, keepdims=True)
+    top = mags.max(axis=axes, keepdims=True, initial=0.0)
     return np.where(mags > ZERO_SNAP * top, mags, 0.0)
 
 

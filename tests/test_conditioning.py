@@ -32,7 +32,8 @@ from sparsecond.conditioning import (
     oracle_condition,
 )
 from sparsecond.linalg import PatternedMatrix
-from sparsecond.patterns import lower_triangular_pattern, pattern_from_mask, tridiagonal_pattern
+from sparsecond.patterns import (full_pattern, lower_triangular_pattern, pattern_from_mask,
+                                 tridiagonal_pattern)
 
 A22 = PatternedMatrix.dense([[1.0, 2.0], [3.0, 4.0]])
 SING = PatternedMatrix.dense([[1.0, 2.0], [2.0, 4.0]])
@@ -416,6 +417,139 @@ class TestOracleChunks:
         assert inv.shape == (2, 2) and np.all(inv == math.inf)
         sol = oracle_condition("solve", a, [1.0, 2.0], delta=delta)
         assert sol.shape == (2,) and np.all(sol == math.inf)
+
+
+# A 2 + 2 block lower-triangular mask, symmetrically permuted; the inverse
+# has the same zero block, and rows start with a structural zero
+_BLOCK_LOWER_MASK = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1], [1, 1, 1, 1]],
+                             dtype=bool)[[2, 0, 3, 1]][:, [2, 0, 3, 1]]
+
+
+def _oracle_patterns():
+    """Full, lower-triangular, tridiagonal and diagonal patterns, n = 1..4,
+    and the permuted block-triangular one."""
+    for n in range(1, 5):
+        yield from (full_pattern(n), lower_triangular_pattern(n), tridiagonal_pattern(n),
+                    pattern_from_mask(np.eye(n, dtype=bool)))
+    yield pattern_from_mask(_BLOCK_LOWER_MASK)
+
+
+def _well_conditioned_on(pattern, rng):
+    n = pattern.n
+    entries = rng.uniform(-1.0, 1.0, (n, n)) + np.diag(rng.uniform(2.0, 3.0, n))
+    return PatternedMatrix(pattern, entries * pattern.mask)
+
+
+def _refuse_lapack(*args, **kwargs):
+    raise AssertionError("a trial reached LAPACK")
+
+
+def _oracle_all(a, b, **kwargs):
+    return [np.asarray(oracle_condition(q, a, b, **kwargs)) for q in ("det", "inv", "solve")]
+
+
+@pytest.mark.filterwarnings("error")
+class TestCofactorOracle:
+    """Up to n = 4 the oracle evaluates its trials by cofactors; the LAPACK
+    path, forced by lowering the size limit, is the reference."""
+
+    @pytest.mark.parametrize("pattern", list(_oracle_patterns()),
+                             ids=lambda p: f"n{p.n}-{len(p)}")
+    def test_agrees_with_the_lapack_path(self, pattern, monkeypatch):
+        rng = np.random.default_rng(50 + len(pattern))
+        a = _well_conditioned_on(pattern, rng)
+        b = rng.uniform(1.0, 2.0, pattern.n) * rng.choice([-1.0, 1.0], pattern.n)
+        kwargs = {"exhaustive_limit": 10, "random_trials": 2000}
+        cofactor = _oracle_all(a, b, **kwargs)
+        monkeypatch.setattr(conditioning, "_COFACTOR_MAX_N", 0)
+        for got, ref in zip(cofactor, _oracle_all(a, b, **kwargs)):
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            assert np.array_equal(got == 0.0, ref == 0.0)
+            assert_allclose(got, ref, rtol=1e-8)
+
+    def test_singular_trial_agrees_with_the_lapack_path(self, monkeypatch):
+        a = PatternedMatrix.dense([[1.0, 1.0], [1.0, 1.0 + 1e-6]])
+        cofactor = _oracle_all(a, [1.0, 2.0])
+        monkeypatch.setattr(conditioning, "_COFACTOR_MAX_N", 0)
+        for got, ref in zip(cofactor, _oracle_all(a, [1.0, 2.0])):
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            assert_allclose(got, ref, rtol=1e-8)
+
+    @pytest.mark.parametrize("mask", [np.tril(np.ones((n, n), dtype=bool)) for n in range(1, 5)]
+                             + [_BLOCK_LOWER_MASK], ids=["tri1", "tri2", "tri3", "tri4", "block"])
+    def test_structural_zeros_of_the_inverse_are_exact(self, mask):
+        n = len(mask)
+        a = _well_conditioned_on(pattern_from_mask(mask), np.random.default_rng(n))
+        rows, cols = a.pattern.index_arrays
+        m = len(rows)
+        digits = conditioning._sign_digits(m, 0, min(3 ** m, 5000))
+        levels = 1.0 + 1e-6 * np.array([-1.0, 0.0, 1.0])
+        perturbed = (a.entries[rows, cols][:, None] * levels)[np.arange(m)[:, None], digits.T]
+        # every trial, not only the snapped oracle output, is exactly zero
+        trials = conditioning._cofactor_values("inv", n, rows, cols, perturbed)
+        assert np.all(trials[:, ~mask.ravel()] == 0.0) and np.all(trials[:, mask.ravel()] != 0.0)
+        got = oracle_condition("inv", a, random_trials=500)
+        assert np.all(got[~mask] == 0.0) and np.all(got[mask] > 0.0)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_no_trial_reaches_lapack(self, n, monkeypatch):
+        a = _well_conditioned_on(full_pattern(n), np.random.default_rng(70 + n))
+        b = np.linspace(1.0, 2.0, n)
+        for name in ("_lu_inverse", "_lu_solve"):
+            monkeypatch.setattr(conditioning, name, _refuse_lapack)
+        monkeypatch.setattr(np.linalg, "det", _refuse_lapack)
+        assert all(np.isfinite(v).all() for v in _oracle_all(a, b, random_trials=500))
+
+    def test_larger_matrices_stay_on_lapack(self, monkeypatch):
+        monkeypatch.setattr(conditioning, "_lu_inverse", _refuse_lapack)
+        with pytest.raises(AssertionError, match="reached LAPACK"):
+            oracle_condition("inv", PatternedMatrix.identity(5), random_trials=10)
+
+    @pytest.mark.parametrize("limit", [4, 0])
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_power_of_two_scaling_is_bit_identical(self, limit, power, monkeypatch):
+        monkeypatch.setattr(conditioning, "_COFACTOR_MAX_N", limit)
+        a = np.array([[3.0, 1.0, -0.5], [0.5, 2.5, 1.0], [-1.0, 0.5, 4.0]])
+        b = np.array([1.0, -2.0, 0.5])
+        scale = 2.0 ** power
+        kwargs = {"exhaustive_limit": 9, "random_trials": 2000}
+        expected = _oracle_all(a, b, **kwargs)
+        assert expected[0] == pytest.approx(cond_det(a), rel=1e-3)
+        for got in (_oracle_all(a * scale, b, **kwargs), _oracle_all(a, b * scale, **kwargs),
+                    _oracle_all(a * scale, b / scale, **kwargs)):
+            for g, e in zip(got, expected):
+                assert g.tobytes() == e.tobytes()
+
+    def test_power_of_two_scaling_on_the_lapack_path_at_n5(self):
+        a = _well_conditioned_on(tridiagonal_pattern(5), np.random.default_rng(80))
+        scaled = PatternedMatrix(a.pattern, a.entries * 2.0 ** -600)
+        kwargs = {"exhaustive_limit": 5, "random_trials": 300}
+        assert oracle_condition("det", scaled, **kwargs) == oracle_condition("det", a, **kwargs)
+        assert_array_equal(oracle_condition("inv", scaled, **kwargs),
+                           oracle_condition("inv", a, **kwargs))
+
+
+class TestOracleArguments:
+    def test_rhs_length_mismatch_names_both_lengths(self):
+        with pytest.raises(ValueError, match=r"rhs length \(3,\) .* dimension 2"):
+            oracle_condition("solve", A22, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_no_random_trials(self, trials):
+        with pytest.raises(ValueError, match="random_trials"):
+            oracle_condition("inv", A22, random_trials=trials)
+
+    def test_empty_matrix_gives_the_closed_forms(self):
+        empty = np.zeros((0, 0))
+        assert oracle_condition("det", empty) == cond_det(empty) == 0.0
+        for got, closed in ((oracle_condition("inv", empty), cond_inverse_entries(empty)),
+                            (oracle_condition("solve", empty, []),
+                             cond_solve_entries(empty, []))):
+            assert got.shape == closed.shape and got.size == 0
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            oracle_condition("det", np.ones((2, 3)))
 
 
 class TestBatchKernels:
