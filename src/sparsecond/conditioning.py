@@ -40,12 +40,17 @@ _QUANTITIES = ("det", "inv", "solve")
 
 def componentwise_ratio(num, den) -> np.ndarray:
     """|num| / |den| elementwise with 0/0 -> 0 and nonzero/0 -> inf; a NaN
-    (an inf/inf or a non-finite operand) also becomes inf."""
-    num = np.abs(num)
-    den = np.abs(den)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = num / den
-    return np.where(np.isnan(q), np.where((num == 0.0) & (den == 0.0), 0.0, np.inf), q)
+    (an inf/inf or a non-finite operand) and a quotient that overflows also
+    become inf."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = np.asarray(np.divide(num, den))
+    # |num / den| is |num| / |den| bit for bit; only a NaN needs its operands
+    np.abs(q, out=q)
+    nan = np.isnan(q)
+    if nan.any():
+        num, den = (np.broadcast_to(x, q.shape)[nan] for x in (num, den))
+        q[nan] = np.where((num == 0.0) & (den == 0.0), 0.0, np.inf)
+    return q
 
 
 def componentwise_distance(u, v) -> float:
@@ -159,14 +164,25 @@ def bound_solve_entries(A: PatternedMatrix, b) -> np.ndarray:
 # finite-perturbation oracle
 
 # Sign patterns per oracle chunk: the trial stack of one chunk stays a few
-# megabytes, however many patterns there are.
-_ORACLE_CHUNK = 16384
+# megabytes, however many patterns there are. A power of three, so that every
+# chunk of an exhaustive run of m >= 8 entries shares its trailing 8 digits.
+# At m = 10 and 12, 3^8 ran faster than 3^9 and 3^7 (2 vCPUs, one BLAS thread).
+_ORACLE_CHUNK = 3 ** 8
 
 # Largest n whose oracle trials are evaluated by cofactors. Up to 4 x 4 the
 # Laplace expansion is at most a few hundred vector operations per chunk,
 # far cheaper than LAPACK's per-matrix call cost; beyond, its cost grows
 # factorially.
 _COFACTOR_MAX_N = 4
+
+
+def _base3(codes: np.ndarray, width: int) -> np.ndarray:
+    """The last `width` base-3 digits, most significant first, of each code,
+    one int8 row each."""
+    digits = np.empty((len(codes), width), dtype=np.int8)
+    for j in range(width - 1, -1, -1):
+        codes, digits[:, j] = np.divmod(codes, 3)
+    return digits
 
 
 def _sign_digits(m: int, start: int, stop: int) -> np.ndarray:
@@ -177,10 +193,31 @@ def _sign_digits(m: int, start: int, stop: int) -> np.ndarray:
     middle = (3 ** m - 1) // 2
     if start <= middle < stop:
         codes = np.delete(codes, middle - start)
-    digits = np.empty((len(codes), m), dtype=np.int8)
-    for j in range(m - 1, -1, -1):
-        codes, digits[:, j] = np.divmod(codes, 3)
-    return digits
+    return _base3(codes, m)
+
+
+def _sign_chunks(m: int):
+    """_sign_digits of all 3^m codes, _ORACLE_CHUNK codes at a time.
+
+    When the chunk size divides 3^m it is 3^k, and each chunk is one table of
+    the trailing k digits, built once, behind the constant leading digits of
+    start // 3^k.
+    """
+    total = 3 ** m
+    if total % _ORACLE_CHUNK:
+        for start in range(0, total, _ORACLE_CHUNK):
+            yield _sign_digits(m, start, min(start + _ORACLE_CHUNK, total))
+        return
+    lead = len(np.base_repr(total // _ORACLE_CHUNK, 3)) - 1
+    tail = _base3(np.arange(_ORACLE_CHUNK), m - lead)
+    middle = (total - 1) // 2
+    for high in range(total // _ORACLE_CHUNK):
+        digits = np.empty((_ORACLE_CHUNK, m), dtype=np.int8)
+        digits[:, :lead] = _base3(np.array([high]), lead)
+        digits[:, lead:] = tail
+        if high == middle // _ORACLE_CHUNK:
+            digits = np.delete(digits, middle % _ORACLE_CHUNK, axis=0)
+        yield digits
 
 
 def _sign_table(m: int) -> np.ndarray:
@@ -341,8 +378,7 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     ref_s = np.where(np.abs(ref) > tol, ref, 0.0)
 
     if m <= exhaustive_limit:
-        chunks = (_sign_digits(m, start, min(start + _ORACLE_CHUNK, 3 ** m))
-                  for start in range(0, 3 ** m, _ORACLE_CHUNK))
+        chunks = _sign_chunks(m)
     else:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
         draws = rng.integers(0, 2, size=(random_trials, m)) * 2
@@ -383,22 +419,33 @@ def _snap_batch(values: np.ndarray, axes) -> np.ndarray:
     return np.where(mags > ZERO_SNAP * top, mags, 0.0)
 
 
+def _inverse_ratios(stack: np.ndarray):
+    """Entrywise inversion condition numbers of the members of a (M, n, n)
+    stack that have an inverse, and the mask of those members."""
+    g, ok = _batched_inverse(stack)
+    gs = _snap_batch(_members(g, ok), (-1, -2))
+    return componentwise_ratio(gs @ np.abs(_members(stack, ok)) @ gs, gs), ok
+
+
 def batch_cond_inverse_entries(stack: np.ndarray) -> np.ndarray:
     """Entrywise inversion condition numbers for a (M, n, n) stack.
 
     Rows of singular matrices are all +inf.
     """
-    g, ok = _batched_inverse(stack)
+    ratios, ok = _inverse_ratios(stack)
+    if ok.all():
+        return ratios
     vals = np.full(stack.shape, np.inf)
-    if ok.any():
-        gs = _snap_batch(_members(g, ok), (-1, -2))
-        vals[ok] = componentwise_ratio(gs @ np.abs(_members(stack, ok)) @ gs, gs)
+    vals[ok] = ratios
     return vals
 
 
 def batch_cond_inverse(stack: np.ndarray) -> np.ndarray:
     """cond_inverse of every matrix in a stack; inf where singular."""
-    return batch_cond_inverse_entries(stack).max(axis=(-1, -2))
+    ratios, ok = _inverse_ratios(stack)
+    vals = np.full(stack.shape[0], np.inf)
+    vals[ok] = ratios.max(axis=(-1, -2))
+    return vals
 
 
 def batch_cond_solve_entries(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:

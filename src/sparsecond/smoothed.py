@@ -75,6 +75,15 @@ class GaussianModel:
         vals.setflags(write=False)
         return vals
 
+    @cached_property
+    def _runs(self) -> tuple:
+        """(first draw, first flat index, length) of each maximal run of
+        consecutive flat indices rows * n + cols of the pattern positions."""
+        rows, cols = self.pattern.index_arrays
+        flat = rows * self.n + cols
+        bounds = np.concatenate([[0], np.flatnonzero(np.diff(flat) != 1) + 1, [len(flat)]])
+        return tuple((int(a), int(flat[a]), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]))
+
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(chunk_index),))
@@ -85,20 +94,26 @@ def sample_batch(model: GaussianModel, seed: int, chunk_index: int, count: int):
     """Draw `count` samples of chunk `chunk_index` as dense stacks.
 
     Returns (A, b) where A has shape (count, n, n) and b is None when the
-    model carries no right-hand side.
+    model carries no right-hand side. The normals are scaled and shifted in
+    place in their draw buffer, then copied into a zeroed stack one slice per
+    run of consecutive flat indices of the pattern (one run for the full
+    pattern, n for the lower-triangular one). b is an array of its own, so the
+    draw buffer is freed when this returns.
     """
     rng = _chunk_generator(seed, chunk_index)
     n = model.n
-    rows, cols = model.pattern.index_arrays
-    m = len(rows)
+    m = len(model.pattern)
     with_rhs = model.center_rhs is not None
     z = rng.standard_normal((count, m + (n if with_rhs else 0)))
-    stack = np.zeros((count, n, n))
     # a draw that overflows is non-finite, which the kernels count as singular
     with np.errstate(over="ignore"):
-        stack[:, rows, cols] = model._center_at_positions + model.sigma * z[:, :m]
-        rhs = model.center_rhs + model.sigma * z[:, m:] if with_rhs else None
-    return stack, rhs
+        z *= model.sigma
+    z[:, :m] += model._center_at_positions
+    stack = np.zeros((count, n * n))
+    for first, flat, length in model._runs:
+        stack[:, flat:flat + length] = z[:, first:first + length]
+    rhs = model.center_rhs + z[:, m:] if with_rhs else None
+    return stack.reshape(count, n, n), rhs
 
 
 def sample(model: GaussianModel, seed: int):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from sparsecond import conditioning, linalg
@@ -21,6 +22,7 @@ from sparsecond.conditioning import (
     bound_solve_entries,
     bound_solve_entry,
     componentwise_distance,
+    componentwise_ratio,
     cond_det,
     cond_inverse,
     cond_inverse_entries,
@@ -57,6 +59,63 @@ class TestComponentwiseDistance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             componentwise_distance([1.0], [1.0, 2.0])
+
+
+def where_componentwise_ratio(num, den):
+    """componentwise_ratio as two nested np.where over every entry: the
+    reference the NaN-only repair must match bit for bit. A quotient that
+    overflows is +inf, without a warning."""
+    num = np.abs(num)
+    den = np.abs(den)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = num / den
+    return np.where(np.isnan(q), np.where((num == 0.0) & (den == 0.0), 0.0, np.inf), q)
+
+
+_RATIO_SPECIALS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                                   2.2e-308, -1e-310, 1.0, -3.5, 1e308, -1e308])
+_RATIO_VALUES = st.one_of(_RATIO_SPECIALS, st.floats())
+
+
+@st.composite
+def _ratio_operands(draw):
+    """Two broadcast-compatible operands; a 0-d one may also be a Python
+    float or int."""
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3,
+                                                    max_side=4))
+    out = []
+    for shape in shapes.input_shapes:
+        kind = draw(st.sampled_from(["array", "float", "int"])) if shape == () else "array"
+        if kind == "float":
+            out.append(draw(_RATIO_VALUES))
+        elif kind == "int":
+            out.append(draw(st.integers(-3, 3)))
+        else:
+            out.append(draw(hnp.arrays(np.float64, shape, elements=_RATIO_VALUES)))
+    return out
+
+
+class TestComponentwiseRatio:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_ratio_operands())
+    def test_same_bits_as_the_where_formula(self, operands):
+        num, den = operands
+        before = [np.array(x, copy=True) for x in operands]
+        got = componentwise_ratio(num, den)
+        ref = where_componentwise_ratio(num, den)
+        assert isinstance(got, np.ndarray) and got.dtype == ref.dtype
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        for x, saved in zip(operands, before):
+            assert np.asarray(x).tobytes() == saved.tobytes()
+
+    def test_conventions(self):
+        num = np.array([0.0, -0.0, 1.0, -2.0, math.inf, math.nan, 0.0, 3.0])
+        den = np.array([0.0, 0.0, 0.0, -0.0, math.inf, 1.0, -math.inf, -1.5])
+        assert_array_equal(componentwise_ratio(num, den),
+                           [0.0, 0.0, math.inf, math.inf, math.inf, math.inf, 0.0, 2.0])
+        # a repair indexed by the NaN mask still broadcasts
+        assert_array_equal(componentwise_ratio(np.zeros((2, 1)), np.array([0.0, 1.0, math.nan])),
+                           [[0.0, 0.0, math.inf]] * 2)
 
 
 class TestCondDet:
@@ -418,6 +477,30 @@ class TestOracleChunks:
         sol = oracle_condition("solve", a, [1.0, 2.0], delta=delta)
         assert sol.shape == (2,) and np.all(sol == math.inf)
 
+    @pytest.mark.parametrize("m", [9, 10, 11])
+    def test_power_of_three_chunks_are_the_sign_digits(self, m, monkeypatch):
+        expected = conditioning._sign_digits(m, 0, 3 ** m)
+        for chunk in (3 ** 8, 3 ** 5):
+            monkeypatch.setattr(conditioning, "_ORACLE_CHUNK", chunk)
+            chunks = list(conditioning._sign_chunks(m))
+            assert all(len(c) <= chunk for c in chunks)
+            got = np.concatenate(chunks)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("quantity, a, b", [
+        ("solve", PatternedMatrix.dense([[3.0, 1.0, -0.5], [0.5, 2.5, 1.0], [-1.0, 0.5, 4.0]]),
+         [1.0, -2.0, 0.5]),  # m = 12
+        ("inv", PatternedMatrix(tridiagonal_pattern(4), [[2.0, 1.0, 0.0, 0.0],
+                                                         [0.5, 3.0, -1.0, 0.0],
+                                                         [0.0, 1.0, 2.0, 0.25],
+                                                         [0.0, 0.0, -1.5, 2.0]]), None),  # m = 10
+    ])
+    def test_shared_digit_table_keeps_the_oracle_bits(self, quantity, a, b, monkeypatch):
+        expected = np.asarray(oracle_condition(quantity, a, b))
+        monkeypatch.setattr(conditioning, "_ORACLE_CHUNK", 3 ** 8 + 1)
+        got = np.asarray(oracle_condition(quantity, a, b))
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
 
 # A 2 + 2 block lower-triangular mask, symmetrically permuted; the inverse
 # has the same zero block, and rows start with a structural zero
@@ -593,6 +676,49 @@ class TestBatchKernels:
         stack = np.stack([np.eye(2)])
         rhs = np.array([[1.0, math.inf]])
         assert batch_cond_solve(stack, rhs)[0] == math.inf
+
+
+class TestMaxOnlyInverseReduction:
+    """batch_cond_inverse reduces the ratios of the invertible members to
+    their max; it equals the max over the entry matrices bit for bit."""
+
+    @staticmethod
+    def _mixed_stack(n=5):
+        rng = np.random.default_rng(41)
+        dense = rng.standard_normal((3, n, n))
+        lower = np.tril(rng.standard_normal((3, n, n)))
+        zero_pivot = np.tril(rng.standard_normal((n, n)))
+        zero_pivot[2, 2] = 0.0
+        nonfinite = rng.standard_normal((2, n, n))
+        nonfinite[0, 1, 3] = math.inf
+        nonfinite[1, 4, 0] = math.nan
+        overflowing = np.eye(n) * 1e-310  # its inverse overflows
+        members = [*dense, *lower, np.ones((n, n)), zero_pivot, *nonfinite, overflowing,
+                   np.diag(np.arange(1.0, n + 1.0))]
+        return np.stack([members[i] for i in rng.permutation(len(members))])
+
+    def _assert_max_of_entries(self, stack):
+        got = batch_cond_inverse(stack)
+        ref = batch_cond_inverse_entries(stack).max(axis=(-1, -2))
+        assert got.shape == ref.shape == stack.shape[:1]
+        assert got.tobytes() == ref.tobytes()
+        return got
+
+    def test_mixed_stack(self):
+        got = self._assert_max_of_entries(self._mixed_stack())
+        assert np.isinf(got).sum() == 5 and np.isfinite(got).sum() == 7
+
+    def test_all_members_singular(self):
+        stack = self._mixed_stack()
+        got = self._assert_max_of_entries(stack[~np.isfinite(batch_cond_inverse(stack))])
+        assert len(got) == 5 and np.all(got == math.inf)
+
+    def test_all_members_invertible(self):
+        stack = np.random.default_rng(42).standard_normal((6, 4, 4))
+        assert np.isfinite(self._assert_max_of_entries(stack)).all()
+
+    def test_empty_stack(self):
+        assert self._assert_max_of_entries(np.zeros((0, 4, 4))).shape == (0,)
 
 
 def _well_conditioned_lower(rng, count, n):

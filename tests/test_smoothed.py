@@ -1,10 +1,14 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from sparsecond import smoothed
 from sparsecond.linalg import PatternedMatrix
-from sparsecond.patterns import full_pattern, lower_triangular_pattern
+from sparsecond.patterns import (full_pattern, lower_triangular_pattern, pattern_from_mask,
+                                 tridiagonal_pattern)
 from sparsecond.smoothed import (
     GaussianModel,
     det_logexp_bound,
@@ -86,6 +90,89 @@ class TestSampling:
         stack, rhs = sample_batch(model, seed=4, chunk_index=0, count=10)
         assert np.array_equal(m1.entries, stack[0])
         assert np.array_equal(b1, rhs[0])
+
+
+def fancy_scatter_sample_batch(model, seed, chunk_index, count):
+    """sample_batch written as one 2-index fancy scatter of the shifted and
+    scaled draws: the reference the run-wise copy must match bit for bit."""
+    rng = smoothed._chunk_generator(seed, chunk_index)
+    n = model.n
+    rows, cols = model.pattern.index_arrays
+    m = len(rows)
+    with_rhs = model.center_rhs is not None
+    z = rng.standard_normal((count, m + (n if with_rhs else 0)))
+    stack = np.zeros((count, n, n))
+    with np.errstate(over="ignore"):
+        stack[:, rows, cols] = model._center_at_positions + model.sigma * z[:, :m]
+        rhs = model.center_rhs + model.sigma * z[:, m:] if with_rhs else None
+    return stack, rhs
+
+
+def _random_pattern(n):
+    rng = np.random.default_rng(21)
+    return pattern_from_mask((rng.random((n, n)) < 0.3) | np.eye(n, dtype=bool))
+
+
+def _permuted_block_triangular_pattern(n):
+    rng = np.random.default_rng(22)
+    block = np.repeat(np.arange(3), [3, 4, n - 7])
+    mask = block[:, None] >= block[None, :]
+    return pattern_from_mask(mask[rng.permutation(n)][:, rng.permutation(n)])
+
+
+SAMPLING_PATTERNS = {
+    "full": full_pattern,
+    "lower_triangular": lower_triangular_pattern,
+    "tridiagonal": tridiagonal_pattern,
+    "random": _random_pattern,
+    "permuted_block_triangular": _permuted_block_triangular_pattern,
+}
+
+
+class TestSamplingByRuns:
+    """The draws are copied into the stack one contiguous run of flat indices
+    at a time; every bit equals the fancy-index scatter."""
+
+    @pytest.mark.parametrize("sigma", [0.75, 1e308])
+    @pytest.mark.parametrize("with_rhs", [False, True])
+    @pytest.mark.parametrize("name", sorted(SAMPLING_PATTERNS))
+    def test_same_bits_as_the_fancy_scatter(self, name, with_rhs, sigma):
+        n = 12
+        pattern = SAMPLING_PATTERNS[name](n)
+        rng = np.random.default_rng(23)
+        center = PatternedMatrix(pattern, rng.uniform(-1.0, 1.0, (n, n)) * pattern.mask)
+        rhs = rng.uniform(-1.0, 1.0, n) if with_rhs else None
+        model = GaussianModel(pattern=pattern, center=center, sigma=sigma, center_rhs=rhs)
+        for count in (1, 7, 4096):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                stack, b = sample_batch(model, seed=6, chunk_index=2, count=count)
+            ref_stack, ref_b = fancy_scatter_sample_batch(model, 6, 2, count)
+            assert stack.shape == ref_stack.shape and stack.tobytes() == ref_stack.tobytes()
+            if with_rhs:
+                assert b.shape == ref_b.shape and b.tobytes() == ref_b.tobytes()
+            else:
+                assert b is None and ref_b is None
+        # sigma = 1e308 makes most draws overflow to +-inf
+        assert np.isinf(stack).any() == (sigma > 1.0)
+
+    def test_rhs_owns_its_data(self):
+        model = make_model(n=6, pattern=full_pattern(6), rhs=np.ones(6))
+        stack, rhs = sample_batch(model, seed=7, chunk_index=0, count=64)
+        assert rhs.flags.owndata and rhs.base is None
+        assert not np.shares_memory(rhs, stack)
+
+    def test_peak_memory_is_the_stack_and_the_draws(self):
+        # the draw buffer is scaled and shifted in place and freed on return;
+        # no temporary the size of the draws is made beside it
+        model = make_model(n=30, pattern=full_pattern(30), rhs=np.ones(30))
+        tracemalloc.start()
+        try:
+            stack, _ = sample_batch(model, seed=8, chunk_index=0, count=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * stack.nbytes
 
 
 class TestBoundArithmetic:
