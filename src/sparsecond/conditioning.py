@@ -21,6 +21,7 @@ without using any derivative formula.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,7 +87,7 @@ def cond_inverse_entry(A, k: int, l: int) -> float:
 
 def cond_inverse(A) -> float:
     """Condition number of matrix inversion: max over all entries of A^-1."""
-    return float(cond_inverse_entries(A).max())
+    return float(cond_inverse_entries(A).max(initial=0.0))
 
 
 def cond_solve_entries(A, b) -> np.ndarray:
@@ -104,7 +105,7 @@ def cond_solve_entry(A, b, k: int) -> float:
 
 def cond_solve(A, b) -> float:
     """Condition number of linear-system solving: max over solution components."""
-    return float(cond_solve_entries(A, b).max())
+    return float(cond_solve_entries(A, b).max(initial=0.0))
 
 
 def bound_inverse_entry(A: PatternedMatrix, k: int, l: int) -> float:
@@ -401,6 +402,35 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
 # batched kernels: the only implementation; the scalar functions above run
 # them on a batch of one, and all of them invert through linalg._batched_inverse
 
+# Bytes of one (tile, n, n) float array of a kernel, about 290 members at
+# n = 30: the inverse, magnitudes and masks of one tile stay in a core's L2
+# cache instead of each streaming a whole chunk through memory. Chosen by a
+# sweep over 2^19..2^22 bytes (2 vCPUs, one BLAS thread).
+_TILE_BYTES = 1 << 21
+
+
+def _tiled(kernel):
+    """kernel(stack, *operands) run on consecutive tiles of the members of the
+    (M, n, n) stack and of its per-member operands, the results put back in
+    order. Every kernel is member-wise, so no bit depends on the tile size; a
+    stack that fits in one tile is passed on as it is."""
+    @functools.wraps(kernel)
+    def run(stack, *operands):
+        count, n = len(stack), stack.shape[-1]
+        tile = max(1, _TILE_BYTES // max(8 * n * n, 1))
+        if count <= tile:
+            return kernel(stack, *operands)
+        out = None
+        for start in range(0, count, tile):
+            part = kernel(stack[start:start + tile], *(x[start:start + tile] for x in operands))
+            if out is None:
+                out = np.empty((count,) + part.shape[1:], part.dtype)
+            out[start:start + len(part)] = part
+        return out
+    return run
+
+
+@_tiled
 def batch_cond_det(stack: np.ndarray) -> np.ndarray:
     """cond_det of every matrix in a (M, n, n) stack; inf where singular."""
     g, ok = _batched_inverse(stack)
@@ -413,10 +443,13 @@ def batch_cond_det(stack: np.ndarray) -> np.ndarray:
 
 
 def _snap_batch(values: np.ndarray, axes) -> np.ndarray:
-    """Magnitudes with entries below ZERO_SNAP times the largest set to zero."""
-    mags = np.abs(values)
+    """Magnitudes of the finite values, with entries below ZERO_SNAP times the
+    largest set to zero. Overwrites values and returns it."""
+    mags = np.abs(values, out=values)
     top = mags.max(axis=axes, keepdims=True, initial=0.0)
-    return np.where(mags > ZERO_SNAP * top, mags, 0.0)
+    # times a 0/1 mask is np.where(mags > ..., mags, 0.0) bit for bit here
+    np.multiply(mags, mags > ZERO_SNAP * top, out=mags)
+    return mags
 
 
 def _inverse_ratios(stack: np.ndarray):
@@ -427,6 +460,7 @@ def _inverse_ratios(stack: np.ndarray):
     return componentwise_ratio(gs @ np.abs(_members(stack, ok)) @ gs, gs), ok
 
 
+@_tiled
 def batch_cond_inverse_entries(stack: np.ndarray) -> np.ndarray:
     """Entrywise inversion condition numbers for a (M, n, n) stack.
 
@@ -440,14 +474,16 @@ def batch_cond_inverse_entries(stack: np.ndarray) -> np.ndarray:
     return vals
 
 
+@_tiled
 def batch_cond_inverse(stack: np.ndarray) -> np.ndarray:
     """cond_inverse of every matrix in a stack; inf where singular."""
     ratios, ok = _inverse_ratios(stack)
     vals = np.full(stack.shape[0], np.inf)
-    vals[ok] = ratios.max(axis=(-1, -2))
+    vals[ok] = ratios.max(axis=(-1, -2), initial=0.0)
     return vals
 
 
+@_tiled
 def batch_cond_solve_entries(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Componentwise solve condition numbers for (M, n, n) and (M, n) stacks."""
     g, ok = _batched_inverse(stack)
@@ -456,8 +492,8 @@ def batch_cond_solve_entries(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not ok.any():
         return vals
     g, a, b = _members(g, ok), _members(stack, ok), _members(rhs, ok)
-    # solutions that overflow are treated like singular draws
-    with np.errstate(over="ignore"):
+    # solutions that overflow (or meet inf - inf) are treated like singular draws
+    with np.errstate(over="ignore", invalid="ignore"):
         x = (g @ b[..., None])[..., 0]
     solved = np.isfinite(x).all(axis=-1)
     if not solved.all():
@@ -473,7 +509,7 @@ def batch_cond_solve_entries(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def batch_cond_solve(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """cond_solve of every (matrix, rhs) pair; inf where singular."""
-    return batch_cond_solve_entries(stack, rhs).max(axis=-1)
+    return batch_cond_solve_entries(stack, rhs).max(axis=-1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -78,14 +78,24 @@ def as_array(A) -> np.ndarray:
 # below and the condition kernels run on it
 
 def _is_lower(stack: np.ndarray) -> np.ndarray:
-    """Mask of the members with no nonzero strictly above the diagonal."""
-    n = stack.shape[-1]
-    upper = np.zeros(stack.shape[0], dtype=bool)
-    for i in range(n - 1):
-        upper |= stack[:, i, i + 1:].any(axis=-1)
-        if upper.all():
-            break
-    return ~upper
+    """Mask of the members with no nonzero strictly above the diagonal.
+
+    One pass over a view: from flat index 1 on, rows of n + 1 entries each
+    start just right of a diagonal entry, so row r holds the n - 1 - r
+    entries above the diagonal of matrix row r and then the start of row
+    r + 1, and a staircase mask picks the first ones. A NaN counts as
+    nonzero, -0.0 as zero. A dense stack is settled by its (0, 1) entries
+    alone, without the pass.
+    """
+    m, n = stack.shape[0], stack.shape[-1]
+    if n < 2:
+        return np.ones(m, dtype=bool)
+    upper = stack[:, 0, 1] != 0.0
+    if upper.all():
+        return ~upper
+    rows = stack.reshape(m, n * n)[:, 1:1 + (n - 1) * (n + 1)].reshape(m, n - 1, n + 1)
+    stair = np.arange(n + 1) < np.arange(n - 1, 0, -1)[:, None]
+    return ~((rows != 0.0) & stair).any(axis=(1, 2))
 
 
 def _lower_inverse(stack: np.ndarray) -> np.ndarray:
@@ -100,10 +110,11 @@ def _lower_inverse(stack: np.ndarray) -> np.ndarray:
     out = np.zeros_like(stack)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in range(n):
-            out[:, i, i] = 1.0
+            # row i is (l_i g, -1) / -l_ii, which is (-l_i g, 1) / l_ii bit for bit
             if i:
-                out[:, i, :i] = -(stack[:, i, None, :i] @ out[:, :i, :i])[:, 0]
-            out[:, i, : i + 1] /= stack[:, i, i, None]
+                np.matmul(stack[:, i, None, :i], out[:, :i, :i], out=out[:, i, None, :i])
+            out[:, i, i] = -1.0
+            out[:, i, : i + 1] /= -stack[:, i, i, None]
     return out
 
 

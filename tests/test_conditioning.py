@@ -913,3 +913,141 @@ class TestScalarIsBatchOfOne:
         _assert_same(cond_inverse(a), batch_cond_inverse(a[None])[0])
         _assert_same(cond_solve_entries(a, b), batch_cond_solve_entries(a[None], b[None])[0])
         _assert_same(cond_solve(a, b), batch_cond_solve(a[None], b[None])[0])
+
+
+def _kernel_outputs(stack, rhs):
+    """Every batch kernel on one stack, as raw bytes with shape and dtype."""
+    values = (batch_cond_det(stack), batch_cond_inverse(stack), batch_cond_inverse_entries(stack),
+              batch_cond_solve_entries(stack, rhs), batch_cond_solve(stack, rhs))
+    return [(v.shape, v.dtype, v.tobytes()) for v in values]
+
+
+@pytest.mark.filterwarnings("error")
+class TestTiledKernels:
+    """The kernels run over their stack in tiles of _TILE_BYTES per (tile, n, n)
+    float array; no output bit depends on the tile size."""
+
+    @staticmethod
+    def _mixed_stack(n=6):
+        """Dense, lower-triangular, zero-pivot, non-finite, overflowing-inverse
+        and overflowing-solution members with their right-hand sides, shuffled."""
+        rng = np.random.default_rng(71)
+        dense = rng.standard_normal((5, n, n))
+        lower = np.tril(rng.standard_normal((5, n, n)))
+        zero_diag = lower[0].copy()
+        zero_diag[3, 3] = 0.0
+        singular_dense = dense[0].copy()
+        singular_dense[4] = singular_dense[1]
+        nonfinite = dense[1:3].copy()
+        nonfinite[0, 2, 5] = math.inf
+        nonfinite[1, 0, 0] = math.nan
+        tiny_lower = np.eye(n) * 1e-310  # its inverse overflows
+        tiny_dense = dense[3] * 1e-310
+        big_x_lower = np.eye(n) * 1e-300  # with a 1e10 rhs, its solution overflows
+        big_x_dense = dense[4] * 1e-300
+        members = [*dense, *lower, np.ones((n, n)), zero_diag, singular_dense, *nonfinite,
+                   tiny_lower, tiny_dense, big_x_lower, big_x_dense]
+        rhs = rng.standard_normal((len(members), n))
+        rhs[-2:] = 1e10
+        rhs[3, 1] = math.inf
+        order = rng.permutation(len(members))
+        return np.stack(members)[order], rhs[order]
+
+    @staticmethod
+    def _members_per_tile(monkeypatch, n, count):
+        monkeypatch.setattr(conditioning, "_TILE_BYTES", count * 8 * max(n * n, 1))
+
+    @pytest.mark.parametrize("per_tile", [1, 7])
+    def test_tile_size_does_not_change_a_bit(self, per_tile, monkeypatch):
+        stack, rhs = self._mixed_stack()
+        whole = _kernel_outputs(stack, rhs)
+        singles = [_kernel_outputs(stack[i:i + 1], rhs[i:i + 1]) for i in range(len(stack))]
+        self._members_per_tile(monkeypatch, 6, per_tile)
+        assert _kernel_outputs(stack, rhs) == whole
+        for i, alone in enumerate(singles):
+            for (shape, dtype, data), (_, _, member) in zip(whole, alone):
+                size = len(data) // shape[0]
+                assert data[i * size:(i + 1) * size] == member
+        kinds = np.isinf(batch_cond_solve(stack, rhs))
+        assert 0 < kinds.sum() < len(stack)
+
+    def test_default_tiles_on_a_chunk_equal_one_tile(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        stack = np.tril(rng.standard_normal((1000, 30, 30)))
+        stack[[5, 500], 7, 7] = 0.0
+        stack[:100] = rng.standard_normal((100, 30, 30))
+        rhs = rng.standard_normal((1000, 30))
+        assert 1000 > conditioning._TILE_BYTES // (8 * 30 * 30)
+        tiled = _kernel_outputs(stack, rhs)
+        monkeypatch.setattr(conditioning, "_TILE_BYTES", 1 << 40)
+        assert _kernel_outputs(stack, rhs) == tiled
+
+    @pytest.mark.parametrize("per_tile", [1, 7, None])
+    @pytest.mark.parametrize("count, n", [(0, 4), (0, 0), (3, 0), (9, 1), (0, 1)])
+    def test_empty_stacks_and_the_smallest_matrices(self, count, n, per_tile, monkeypatch):
+        stack = np.arange(1.0, count * n * n + 1.0).reshape(count, n, n)
+        if count and n:
+            stack[2, 0, 0] = 0.0
+            stack[4, 0, 0] = math.nan
+        rhs = np.ones((count, n))
+        if per_tile is not None:
+            self._members_per_tile(monkeypatch, n, per_tile)
+        det, inv, inv_entries, solve_entries, solve = (
+            np.frombuffer(data, dtype).reshape(shape)
+            for shape, dtype, data in _kernel_outputs(stack, rhs))
+        assert det.shape == inv.shape == solve.shape == (count,)
+        assert inv_entries.shape == (count, n, n) and solve_entries.shape == (count, n)
+        if n == 0:
+            assert (det == 0.0).all() and (inv == 0.0).all() and (solve == 0.0).all()
+        elif count:
+            singular = np.isin(np.arange(count), [2, 4])
+            assert np.isinf(det[singular]).all() and np.isinf(solve[singular]).all()
+            assert (det[~singular] == 1.0).all() and (inv[~singular] == 1.0).all()
+            assert (solve[~singular] == 2.0).all()
+
+    def test_lower_triangular_solve_chunk_peak_memory(self):
+        rng = np.random.default_rng(73)
+        stack = np.tril(rng.standard_normal((4096, 30, 30)))
+        rhs = rng.standard_normal((4096, 30))
+        tracemalloc.start()
+        try:
+            batch_cond_solve(stack, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * stack.nbytes
+
+
+@pytest.mark.filterwarnings("error")
+def test_empty_matrix_has_condition_zero():
+    """As in cond_det and the oracle; the batches are covered by
+    TestTiledKernels.test_empty_stacks_and_the_smallest_matrices."""
+    empty = np.zeros((0, 0))
+    assert cond_inverse(empty) == 0.0 == cond_det(empty) == oracle_condition("det", empty)
+    assert cond_solve(empty, []) == 0.0
+
+
+def _where_snap(values, axes):
+    """The snap as an np.where over fresh magnitudes: the reference that the
+    in-place snap must match bit for bit."""
+    mags = np.abs(values)
+    top = mags.max(axis=axes, keepdims=True, initial=0.0)
+    return np.where(mags > conditioning.ZERO_SNAP * top, mags, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axes, shape", [((-1, -2), (50, 6, 6)), ((-1,), (50, 6)),
+                                         ((-1, -2), (3, 0, 0)), ((-1,), (0, 4))])
+def test_snap_in_place_equals_the_where_formula(axes, shape):
+    rng = np.random.default_rng(74)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-14, 3, shape)
+    values[values > 1.5] = 0.0
+    if values.size:
+        values[0] = -0.0
+        values[1] = 0.0
+        values[1].flat[:2] = [-1.0, conditioning.ZERO_SNAP]  # exactly at the threshold
+        values.flat[-1] = 5e-324
+    expected = _where_snap(values, axes)
+    got = conditioning._snap_batch(values, axes)
+    assert got is values
+    assert got.tobytes() == expected.tobytes()

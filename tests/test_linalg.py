@@ -9,6 +9,8 @@ from sparsecond.linalg import (
     SINGULAR,
     PatternedMatrix,
     _batched_inverse,
+    _is_lower,
+    _lower_inverse,
     determinant,
     inverse,
     minor,
@@ -211,3 +213,43 @@ def test_matrix_file_rejects_wrong_count(tmp_path):
     path.write_text("2\n1 2 3\n")
     with pytest.raises(ValueError):
         read_matrix_file(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", range(7))
+def test_is_lower_is_the_row_scan(n):
+    rng = np.random.default_rng(60 + n)
+    values = np.array([0.0, -0.0, 1.0, math.nan])
+    stack = values[rng.choice(4, size=(500, n, n), p=[0.4, 0.5, 0.05, 0.05])]
+    expected = [not any(a[i, j] != 0.0 for i in range(n) for j in range(i + 1, n)) for a in stack]
+    assert _is_lower(stack).tolist() == expected
+    assert 0 < sum(expected) or n < 2
+    assert _is_lower(stack[:0]).shape == (0,)
+    if n >= 2:  # every (0, 1) entry nonzero: the dense shortcut
+        stack[:, 0, 1] = values[rng.choice([2, 3], size=500)]
+        assert not _is_lower(stack).any()
+
+
+def _row_loop_lower_inverse(stack):
+    """Forward substitution with a negated row product and a unit diagonal:
+    the reference the in-place rows must match bit for bit."""
+    n = stack.shape[-1]
+    out = np.zeros_like(stack)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(n):
+            out[:, i, i] = 1.0
+            if i:
+                out[:, i, :i] = -(stack[:, i, None, :i] @ out[:, :i, :i])[:, 0]
+            out[:, i, : i + 1] /= stack[:, i, i, None]
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+def test_lower_inverse_rows_equal_the_negated_product(n):
+    rng = np.random.default_rng(70 + n)
+    stack = np.tril(rng.standard_normal((300, n, n)))
+    stack[3, n - 1, n - 1] = 0.0
+    stack[4] *= 1e-200
+    stack[5, 0, 0] = math.inf
+    assert _lower_inverse(stack).tobytes() == _row_loop_lower_inverse(stack).tobytes()
