@@ -410,19 +410,19 @@ _TILE_BYTES = 1 << 21
 
 
 def _tiled(kernel):
-    """kernel(stack, *operands) run on consecutive tiles of the members of the
-    (M, n, n) stack and of its per-member operands, the results put back in
-    order. Every kernel is member-wise, so no bit depends on the tile size; a
-    stack that fits in one tile is passed on as it is."""
+    """kernel(stack, *operands, **options) on consecutive tiles of the members
+    of the (M, n, n) stack and of its per-member operands, with the options as
+    they are, the results put back in order. Every kernel is member-wise, so no
+    bit depends on the tile size; a stack that fits in one tile is passed on."""
     @functools.wraps(kernel)
-    def run(stack, *operands):
+    def run(stack, *operands, **options):
         count, n = len(stack), stack.shape[-1]
         tile = max(1, _TILE_BYTES // max(8 * n * n, 1))
         if count <= tile:
-            return kernel(stack, *operands)
+            return kernel(stack, *operands, **options)
         out = None
         for start in range(0, count, tile):
-            part = kernel(stack[start:start + tile], *(x[start:start + tile] for x in operands))
+            part = kernel(*(x[start:start + tile] for x in (stack, *operands)), **options)
             if out is None:
                 out = np.empty((count,) + part.shape[1:], part.dtype)
             out[start:start + len(part)] = part

@@ -10,14 +10,15 @@ at most 2^-p up to one extra ulp from double rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import batch_cond_solve, componentwise_distance, componentwise_ratio, cond_solve
-from .linalg import as_array, format17
-from .patterns import lower_triangular_pattern
+from .conditioning import (_tiled, batch_cond_solve, componentwise_distance, componentwise_ratio,
+                           cond_solve)
+from .linalg import _is_lower, as_array, format17
 from .smoothed import _gather_values, _sigma_factor, sample_batch
 
 # decimal digits of slack absorbing the vanishing remainder term in the
@@ -47,36 +48,34 @@ class PrecisionConfig:
 
 
 def round_p(z: float, cfg: PrecisionConfig) -> float:
-    """Round z to the nearest value with a p-bit significand, ties to even.
-
-    Exact for every finite double: the scaled significand is an exact double,
-    so Python's banker's rounding decides ties correctly. Guarantees
-    |round_p(z) - z| <= 2^-p |z|, and idempotence.
-    """
-    if z == 0.0 or not math.isfinite(z):
-        return z
-    m, e = math.frexp(z)  # z = m * 2^e with 0.5 <= |m| < 1
-    p = cfg.significand_bits
-    try:
-        return math.ldexp(float(round(m * (1 << p))), e - p)
-    except OverflowError:
-        # rounding up at the very top of the double range
-        return math.copysign(math.inf, z)
+    """Round z to the nearest value with a p-bit significand, ties to even;
+    round_p_array on one value."""
+    return float(round_p_array(z, cfg))
 
 
 def round_p_array(z, cfg: PrecisionConfig) -> np.ndarray:
-    """Vectorized round_p; agrees with the scalar version bit for bit."""
-    zz = np.asarray(z, dtype=float)
-    p = cfg.significand_bits
+    """Round every entry of z to the nearest value with a p-bit significand,
+    ties to even.
+
+    Exact for every finite double: the scaled significand is an exact double,
+    so rint decides ties correctly. Guarantees |round_p(z) - z| <= 2^-p |z|,
+    and idempotence; 0, inf and NaN pass through, and rounding up at the very
+    top of the double range gives inf.
+    """
     with np.errstate(over="ignore"):
-        m, e = np.frexp(zz)
-        return np.ldexp(np.rint(np.ldexp(m, p)), e - p)
+        return _round(np.asarray(z, dtype=float), cfg.significand_bits)
+
+
+def _round(z: np.ndarray, p: int) -> np.ndarray:
+    """The rounding of round_p_array, without its errstate."""
+    m, e = np.frexp(z)  # z = m * 2^e with 0.5 <= |m| < 1, so m * 2^p is exact
+    return np.ldexp(np.rint(m * float(1 << p)), e - p)
 
 
 def _check_lower_triangular(L: np.ndarray) -> None:
     if L.shape[0] != L.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {L.shape}")
-    if np.any(np.triu(L, 1) != 0.0):
+    if not _is_lower(L[None])[0]:
         raise ValueError("matrix has nonzeros above the diagonal")
     if np.any(np.diag(L) == 0.0):
         raise ValueError("zero diagonal entry: forward substitution undefined")
@@ -87,7 +86,7 @@ def forward_substitution(L, b, cfg: PrecisionConfig) -> np.ndarray:
 
     Every multiply, subtract and divide is rounded; the inner sum is
     accumulated left to right (j = 1 .. i-1), which pins the rounding schedule
-    and makes runs reproducible.
+    and makes runs reproducible. A batch of one on forward_substitution_batch.
     """
     mat = as_array(L)
     rhs = np.asarray(b, dtype=float)
@@ -95,38 +94,34 @@ def forward_substitution(L, b, cfg: PrecisionConfig) -> np.ndarray:
     n = mat.shape[0]
     if rhs.shape != (n,):
         raise ValueError(f"rhs length {rhs.shape} does not match dimension {n}")
-    x = np.zeros(n)
-    for i in range(n):
-        s = rhs[i]
-        for j in range(i):
-            s = round_p(s - round_p(mat[i, j] * x[j], cfg), cfg)
-        x[i] = round_p(s / mat[i, i], cfg)
-    return x
+    return forward_substitution_batch(mat[None], rhs[None], cfg)[0]
 
 
 def forward_substitution_batch(L: np.ndarray, b: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
-    """Emulated substitution over a (M, n, n) stack; bit-identical to the
-    scalar routine on every row."""
-    m_count, n, _ = L.shape
-    x = np.zeros((m_count, n))
-    for i in range(n):
-        s = b[:, i].copy()
-        for j in range(i):
-            s = round_p_array(s - round_p_array(L[:, i, j] * x[:, j], cfg), cfg)
-        x[:, i] = round_p_array(s / L[:, i, i], cfg)
-    return x
+    """Emulated substitution over a (M, n, n) stack of lower-triangular
+    matrices and a (M, n) stack of right-hand sides; member i is
+    forward_substitution(L[i], b[i], cfg), without its argument checks."""
+    return _substitute(L, b, cfg=cfg)
 
 
-def _reference_substitution_batch(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same loop in full double precision; treated as the exact solution."""
-    m_count, n, _ = L.shape
-    x = np.zeros((m_count, n))
-    for i in range(n):
-        s = b[:, i].copy()
-        for j in range(i):
-            s = s - L[:, i, j] * x[:, j]
-        x[:, i] = s / L[:, i, i]
-    return x
+@_tiled
+def _substitute(L: np.ndarray, b: np.ndarray, cfg: PrecisionConfig | None = None) -> np.ndarray:
+    """The one substitution loop: p-bit arithmetic, or plain double (the
+    reference, treated as exact) when cfg is None.
+
+    Column by column on a member-last copy of the tile: once x_j is known,
+    every later row i subtracts l_ij x_j at once. Row i still subtracts its
+    terms j = 0, 1, .., i-1 in turn, so every rounding is the one of a row by
+    row loop, on the same operands. Non-finite entries and zero diagonals give
+    non-finite solutions without a warning."""
+    cols = L.transpose(2, 1, 0).copy()  # cols[j, i] is L[:, i, j]
+    x = b.T.copy()  # row j turns from b_j into x_j at step j
+    rnd = (lambda z: z) if cfg is None else functools.partial(_round, p=cfg.significand_bits)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(len(x)):
+            x[j] = rnd(x[j] / cols[j, j])
+            x[j + 1:] = rnd(x[j + 1:] - rnd(cols[j, j + 1:] * x[j]))
+    return np.ascontiguousarray(x.T)
 
 
 def rel_error(x_hat, x_ref) -> float:
@@ -151,8 +146,10 @@ def loss_of_precision(rel: float, cfg: PrecisionConfig) -> float:
 
 
 def _omegas(L: np.ndarray, b: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    r = b - (L @ x_hat[..., None])[..., 0]
-    den = (np.abs(L) @ np.abs(x_hat)[..., None])[..., 0]
+    # non-finite entries and solutions give non-finite omegas, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = b - (L @ x_hat[..., None])[..., 0]
+        den = (np.abs(L) @ np.abs(x_hat)[..., None])[..., 0]
     return componentwise_ratio(r, den).max(axis=-1)
 
 
@@ -221,7 +218,7 @@ def solve_accuracy(L, b, cfg: PrecisionConfig) -> SolveAccuracyReport:
     mat = as_array(L)
     rhs = np.asarray(b, dtype=float)
     x_hat = forward_substitution(mat, rhs, cfg)
-    x_ref = _reference_substitution_batch(mat[None], rhs[None])[0]
+    x_ref = _substitute(mat[None], rhs[None])[0]
     rel = rel_error(x_hat, x_ref)
     return SolveAccuracyReport(
         x_ref=x_ref,
@@ -240,15 +237,24 @@ def solve_accuracy(L, b, cfg: PrecisionConfig) -> SolveAccuracyReport:
 def _chunk_accuracy_values(args) -> np.ndarray:
     model, cfg, seed, chunk_index, count = args
     stack, rhs = sample_batch(model, seed, chunk_index, count)
-    x_ref = _reference_substitution_batch(stack, rhs)
+    return _accuracy_values(stack, rhs, cfg=cfg)
+
+
+@_tiled
+def _accuracy_values(stack: np.ndarray, rhs: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
+    """(rel_error, LoP, omega, LoP prediction) of every draw, one row each,
+    computed tile by tile so that a tile's arrays stay in cache."""
+    x_ref = _substitute(stack, rhs)
     x_hat = forward_substitution_batch(stack, rhs, cfg)
 
-    rel = componentwise_ratio(x_hat - x_ref, x_ref).max(axis=1)
+    # inf - inf in the error of a non-finite draw is NaN, which the ratio makes inf
+    with np.errstate(invalid="ignore"):
+        rel = componentwise_ratio(x_hat - x_ref, x_ref).max(axis=1)
     lop = _lops(rel, cfg.eps_mach)
     omega = _omegas(stack, rhs, x_hat)
     cond = batch_cond_solve(stack, rhs)
     with np.errstate(divide="ignore"):
-        pred = _lop_dimension_term(model.n) + np.log10(cond)
+        pred = _lop_dimension_term(stack.shape[-1]) + np.log10(cond)
     return np.stack([rel, lop, omega, pred], axis=1)
 
 
@@ -321,21 +327,13 @@ class AccuracySummary:
     CSV_HEADER = "seed,n,sigma,p,rel_error,lop,omega,backward_bound,lop_prediction"
 
     def to_csv_text(self) -> str:
-        rows = [self.CSV_HEADER]
-        bb = format17(self.backward_bound)
-        for i in range(self.samples):
-            rows.append(",".join([
-                str(self.seed),
-                str(self.n),
-                format17(self.sigma),
-                str(self.precision_bits),
-                format17(self.rel_error[i]),
-                format17(self.lop[i]),
-                format17(self.omega[i]),
-                bb,
-                format17(self.lop_prediction[i]),
-            ]))
-        return "\n".join(rows) + "\n"
+        # one %-format per run, with the columns that are the same on every row
+        # baked in; "%.17g" % x is format17(x)
+        row = (f"{self.seed},{self.n},{format17(self.sigma)},{self.precision_bits},"
+               f"%.17g,%.17g,%.17g,{format17(self.backward_bound)},%.17g")
+        values = zip(self.rel_error.tolist(), self.lop.tolist(), self.omega.tolist(),
+                     self.lop_prediction.tolist())
+        return "\n".join([self.CSV_HEADER, *(row % v for v in values)]) + "\n"
 
     def to_report_text(self) -> str:
         back = "PASS" if self.backward_check_passed() else "FAIL"
@@ -370,11 +368,10 @@ def run_accuracy_experiment(model, cfg: PrecisionConfig, samples: int, seed: int
     if n < 2:
         raise ValueError(f"accuracy experiment needs n >= 2 (its 2 log2 n bounds vanish "
                          f"at n = 1), got n = {n}")
-    tri = lower_triangular_pattern(n).positions
-    diag = {(i, i) for i in range(1, n + 1)}
-    if not model.pattern.positions <= tri:
+    mask = model.pattern.mask
+    if not _is_lower(mask[None])[0]:
         raise ValueError("accuracy experiment needs a lower-triangular pattern")
-    if not diag <= model.pattern.positions:
+    if not mask.diagonal().all():
         raise ValueError("accuracy experiment needs the full diagonal in the pattern")
     stats = _gather_values(_chunk_accuracy_values, (model, cfg), samples, seed, workers)
     return AccuracySummary(

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .conditioning import batch_cond_det, batch_cond_inverse, batch_cond_solve, componentwise_ratio
-from .linalg import PatternedMatrix, format17
+from .linalg import PatternedMatrix, _is_lower, format17
 from .patterns import SparsityPattern, is_admissible
 
 CHUNK_SIZE = 4096
@@ -230,7 +230,7 @@ _LOGEXP_BOUNDS = {
 
 
 def _is_lower_triangular(pattern: SparsityPattern) -> bool:
-    return all(i >= j for i, j in pattern.positions) and len(pattern) == pattern.n * (pattern.n + 1) // 2
+    return bool(_is_lower(pattern.mask[None])[0]) and len(pattern) == pattern.n * (pattern.n + 1) // 2
 
 
 def wilson_upper_99(successes: int, trials: int) -> float:

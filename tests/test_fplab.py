@@ -1,12 +1,22 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from sparsecond import conditioning, fplab
+from sparsecond.conditioning import batch_cond_solve, componentwise_ratio
 from sparsecond.fplab import (
+    AccuracySummary,
     _chunk_accuracy_values,
+    _lops,
+    _omegas,
+    _substitute,
     PrecisionConfig,
     backward_error_bound,
     backward_error_omega,
@@ -21,9 +31,9 @@ from sparsecond.fplab import (
     run_accuracy_experiment,
     solve_accuracy,
 )
-from sparsecond.linalg import PatternedMatrix
-from sparsecond.patterns import full_pattern, lower_triangular_pattern
-from sparsecond.smoothed import GaussianModel
+from sparsecond.linalg import PatternedMatrix, format17
+from sparsecond.patterns import full_pattern, lower_triangular_pattern, pattern_from_mask
+from sparsecond.smoothed import GaussianModel, _is_lower_triangular, sample_batch
 
 P24 = PrecisionConfig(24)
 P16 = PrecisionConfig(16)
@@ -319,3 +329,193 @@ class TestAccuracyExperiment:
         first = lines[1].split(",")
         assert first[0] == "4" and first[1] == "10" and first[3] == "24"
         assert float(first[4]) == summary.rel_error[0]
+
+
+# --- the column kernel against the row-by-row loops it replaced --------------
+
+def rows_round(z, p):
+    """Rounding to p significand bits as frexp, rint and ldexp on fresh arrays."""
+    with np.errstate(over="ignore"):
+        m, e = np.frexp(z)
+        return np.ldexp(np.rint(np.ldexp(m, p)), e - p)
+
+
+def rows_emulated(L, b, p):
+    """Emulated forward substitution row by row: row i subtracts its rounded
+    terms j = 0 .. i-1 in turn, then divides by its diagonal."""
+    count, n, _ = L.shape
+    x = np.zeros((count, n))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(n):
+            s = b[:, i].copy()
+            for j in range(i):
+                s = rows_round(s - rows_round(L[:, i, j] * x[:, j], p), p)
+            x[:, i] = rows_round(s / L[:, i, i], p)
+    return x
+
+
+def rows_reference(L, b):
+    """The same loop in plain double arithmetic."""
+    count, n, _ = L.shape
+    x = np.zeros((count, n))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(n):
+            s = b[:, i].copy()
+            for j in range(i):
+                s = s - L[:, i, j] * x[:, j]
+            x[:, i] = s / L[:, i, i]
+    return x
+
+
+_SUBSTITUTION_SPECIALS = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e300, 1e300,
+                                   math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _lower_systems(draw):
+    """Stacks of lower-triangular systems over many magnitudes, a share of
+    whose entries (diagonals and right-hand sides too) are special values."""
+    n = draw(st.sampled_from([*range(9), 30]))
+    count = draw(st.integers(0, 9))
+    share = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    L = np.tril(rng.standard_normal((count, n, n))
+                * 10.0 ** rng.integers(-300, 301, (count, 1, 1)))
+    L[:, np.arange(n), np.arange(n)] += np.sign(L[:, np.arange(n), np.arange(n)])
+    b = rng.standard_normal((count, n))
+    special = (rng.random(L.shape) < share) & np.tril(np.ones((n, n), dtype=bool))
+    L[special] = rng.choice(_SUBSTITUTION_SPECIALS, special.sum())
+    special = rng.random(b.shape) < share
+    b[special] = rng.choice(_SUBSTITUTION_SPECIALS, special.sum())
+    return L, b
+
+
+def _nan_canonical(x):
+    """The bytes of x with every NaN as one NaN. IEEE 754 leaves the sign and
+    payload of a NaN result open, and numpy's loops differ in which NaN they
+    pass on when both operands are NaN (a multiply by a broadcast single value
+    passes on the other operand's)."""
+    return np.where(np.isnan(x), math.nan, x).tobytes()
+
+
+def _members_per_tile(n, count):
+    """Tiles of `count` members of a (M, n, n) stack; None is one tile."""
+    size = 1 << 40 if count is None else count * 8 * max(n * n, 1)
+    return mock.patch.object(conditioning, "_TILE_BYTES", size)
+
+
+class TestSubstitutionKernel:
+    # numpy warnings are errors here through the pytest configuration
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_lower_systems(), st.sampled_from([2, 11, 24, 26, 52]))
+    def test_same_bits_as_the_row_loops(self, system, p):
+        L, b = system
+        saved = L.tobytes(), b.tobytes()
+        emulated, reference = rows_emulated(L, b, p), rows_reference(L, b)
+        for per_tile in (1, 7, None):
+            with _members_per_tile(L.shape[-1], per_tile):
+                got = forward_substitution_batch(L, b, PrecisionConfig(p)), _substitute(L, b)
+            for x, expected in zip(got, (emulated, reference)):
+                assert x.shape == expected.shape and x.dtype == expected.dtype
+                assert _nan_canonical(x) == _nan_canonical(expected)
+        assert (L.tobytes(), b.tobytes()) == saved
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_entries_raise_no_warning(self):
+        L = np.tril(np.full((5, 4, 4), 3.0))
+        b = np.ones((5, 4))
+        L[0, 2, 1] = math.inf
+        L[1, 3, 0] = math.nan
+        L[2] = np.tril(np.full((4, 4), 1e308))
+        L[3, 1, 1] = 0.0
+        b[4, 0] = -math.inf
+        x_hat = forward_substitution_batch(L, b, P24)
+        x_ref = _substitute(L, b)
+        omegas = _omegas(L, b, x_hat)
+        assert not np.isfinite(x_hat[[0, 1, 3, 4]]).all(axis=1).any()
+        assert not np.isfinite(x_ref[[0, 1, 3, 4]]).all(axis=1).any()
+        assert omegas.shape == (5,) and not np.isfinite(omegas[[0, 1, 4]]).any()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("per_tile", [1, 7, None])
+    def test_chunk_is_the_whole_stack_formula_at_every_tile_size(self, per_tile):
+        model = tri_model(8, rhs="ones")
+        stack, rhs = sample_batch(model, 9, 0, 60)
+        stack[3, 5, 2] = math.inf
+        x_ref, x_hat = rows_reference(stack, rhs), rows_emulated(stack, rhs, 24)
+        cond = batch_cond_solve(stack, rhs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = componentwise_ratio(x_hat - x_ref, x_ref).max(axis=1)
+            pred = math.log10(2.0 * math.log2(8)) + np.log10(cond)
+        expected = np.stack([rel, _lops(rel, P24.eps_mach), _omegas(stack, rhs, x_hat), pred],
+                            axis=1)
+        with _members_per_tile(8, per_tile), mock.patch.object(fplab, "sample_batch",
+                                                                lambda *a: (stack, rhs)):
+            got = _chunk_accuracy_values((model, P24, 9, 0, 60))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_accuracy_chunk_peak_memory(self):
+        # sampling alone peaks at about 1.6 stacks (its normals, then the
+        # stack); the tiles add little on top, where whole-chunk temporaries
+        # such as |L| or a member-last copy add a stack each
+        model = tri_model(30)
+        stack, rhs = sample_batch(model, 11, 0, 4096)
+        peaks = []
+        for run in (lambda: _chunk_accuracy_values((model, P24, 11, 0, 4096)),
+                    lambda: forward_substitution_batch(stack, rhs, P24)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.75 * stack.nbytes and peaks[1] <= 0.25 * stack.nbytes
+
+
+def csv_field_by_field(summary):
+    """The accuracy CSV built one row at a time from format17 of each field."""
+    rows = [summary.CSV_HEADER]
+    bb = format17(summary.backward_bound)
+    for i in range(summary.samples):
+        rows.append(",".join([
+            str(summary.seed), str(summary.n), format17(summary.sigma),
+            str(summary.precision_bits), format17(summary.rel_error[i]),
+            format17(summary.lop[i]), format17(summary.omega[i]), bb,
+            format17(summary.lop_prediction[i]),
+        ]))
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("seed, n, sigma, p", [(0, 30, 1.0, 24), (12345, 2, 1e-300, 2),
+                                               (7, 9, 0.1, 52), (3, 5, 1e308, 11)])
+def test_csv_text_equals_the_field_by_field_builder(seed, n, sigma, p):
+    rng = np.random.default_rng(seed)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e308, -1e308,
+                0.1, 1.0 / 3.0, 123456789.0, 1e16, 1e-5]
+    values = np.concatenate([specials, rng.standard_normal(50) * 10.0 ** rng.integers(-20, 20, 50)])
+    cols = [rng.permutation(values) for _ in range(4)]
+    summary = AccuracySummary(n=n, sigma=sigma, precision_bits=p, samples=len(values), seed=seed,
+                              rel_error=cols[0], lop=cols[1], omega=cols[2],
+                              lop_prediction=cols[3])
+    assert summary.to_csv_text() == csv_field_by_field(summary)
+
+
+def test_lower_triangularity_checks_share_one_rule():
+    # all three checks run linalg._is_lower, which counts a NaN as nonzero
+    # and -0.0 as zero, and keep their messages
+    sparse_lower = np.tril(np.ones((4, 4), dtype=bool))
+    sparse_lower[3, 0] = False
+    assert _is_lower_triangular(lower_triangular_pattern(4))
+    assert not _is_lower_triangular(pattern_from_mask(sparse_lower))
+    assert not _is_lower_triangular(full_pattern(4))
+    upper = np.eye(3)
+    upper[0, 2] = -0.0
+    assert_array_equal(forward_substitution(upper, np.ones(3), P24), np.ones(3))
+    upper[0, 2] = math.nan
+    with pytest.raises(ValueError, match="nonzeros above the diagonal"):
+        forward_substitution(upper, np.ones(3), P24)
+    pat = pattern_from_mask(np.tril(np.ones((3, 3), dtype=bool)) | np.eye(3, k=1, dtype=bool))
+    model = GaussianModel(pattern=pat, center=PatternedMatrix(pat, np.zeros((3, 3))), sigma=1.0,
+                          center_rhs=np.zeros(3))
+    with pytest.raises(ValueError, match="needs a lower-triangular pattern"):
+        run_accuracy_experiment(model, P24, 200, seed=0)
