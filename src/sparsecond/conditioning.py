@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (PatternedMatrix, _batched_inverse, _lu_inverse, _lu_solve, _members,
-                     as_array, format17, minor, replace_column)
+                     as_array, as_rhs, format17)
 
 # Entries of computed inverses (and solutions) this far below the largest
 # entry are treated as exact zeros when deciding the 0 / inf output
@@ -76,13 +76,16 @@ def cond_inverse_entries(A) -> np.ndarray:
     return batch_cond_inverse_entries(as_array(A)[None])[0]
 
 
+def _entry(values: np.ndarray, *indices: int) -> float:
+    """The entry of values at the 1-based indices; ValueError outside."""
+    if not all(1 <= i <= m for i, m in zip(indices, values.shape)):
+        raise ValueError(f"indices {indices} outside [1, {len(values)}]")
+    return float(values[tuple(i - 1 for i in indices)])
+
+
 def cond_inverse_entry(A, k: int, l: int) -> float:
     """Condition number of entry (k, l) of A^-1 (1-based indices)."""
-    a = as_array(A)
-    n = a.shape[0]
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise ValueError(f"indices ({k}, {l}) outside [1, {n}]")
-    return float(cond_inverse_entries(a)[k - 1, l - 1])
+    return _entry(cond_inverse_entries(A), k, l)
 
 
 def cond_inverse(A) -> float:
@@ -92,15 +95,13 @@ def cond_inverse(A) -> float:
 
 def cond_solve_entries(A, b) -> np.ndarray:
     """Vector of condition numbers of the solution components of A x = b."""
-    return batch_cond_solve_entries(as_array(A)[None], np.asarray(b, dtype=float)[None])[0]
+    a = as_array(A)
+    return batch_cond_solve_entries(a[None], as_rhs(b, a.shape[0])[None])[0]
 
 
 def cond_solve_entry(A, b, k: int) -> float:
     """Condition number of x_k where A x = b (1-based k)."""
-    a = as_array(A)
-    if not 1 <= k <= a.shape[0]:
-        raise ValueError(f"index {k} outside [1, {a.shape[0]}]")
-    return float(cond_solve_entries(a, b)[k - 1])
+    return _entry(cond_solve_entries(A, b), k)
 
 
 def cond_solve(A, b) -> float:
@@ -111,8 +112,33 @@ def cond_solve(A, b) -> float:
 def bound_inverse_entry(A: PatternedMatrix, k: int, l: int) -> float:
     """Upper bound for cond_inverse_entry(A, k, l): cond_det(A) + cond_det of
     the minor that deletes row l and column k (note the transposed order)."""
-    sub = minor(A, l, k)
-    return cond_det(A) + (0.0 if sub is None else cond_det(sub))
+    return _entry(bound_inverse_entries(A), k, l)
+
+
+def _cramer_sums(A: PatternedMatrix, g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sums[k, c] = sum of |a_ij| |g_ji - u_jc g_ki / u_kc| over the support
+    of A with j != k, where g = A^-1; +inf where u_kc == 0 or the sum is not
+    finite.
+
+    With u = g this is cond_det of the minor that deletes row c and column k;
+    with u = A^-1 b it is the part of cond_det of A with column k replaced by
+    b that the other columns give. Rows loop over k and are vectorised over
+    (c, support).
+    """
+    rows, cols = A.pattern.index_arrays
+    mags = np.abs(A.entries[rows, cols])
+    out = np.empty((A.n, u.shape[1]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(A.n):
+            keep = cols != k
+            i, j = rows[keep], cols[keep]
+            # dividing before multiplying keeps a scaled A from overflowing
+            # or underflowing where the sum does not
+            h = g[j, i] - u.T[:, j] * (g[k, i] / u[k][:, None])
+            sums = (mags[keep] * np.abs(h)).sum(axis=1)
+            sums[(u[k] == 0.0) | ~np.isfinite(sums)] = np.inf
+            out[k] = sums
+    return out
 
 
 def bound_inverse_entries(A: PatternedMatrix) -> np.ndarray:
@@ -121,44 +147,40 @@ def bound_inverse_entries(A: PatternedMatrix) -> np.ndarray:
     The minor that deletes row l and column k has the inverse entries
     g_ji - g_jl g_ki / g_kl (i != l, j != k), so its cond_det is a sum over
     the support; it is singular exactly when g_kl == 0 (Jacobi's identity
-    det(minor) = +-det(A) g_kl). Rows loop over k and are vectorised over
-    (l, support). A singular A gives +inf everywhere.
+    det(minor) = +-det(A) g_kl). On the deleted row l the term is exactly 0
+    (g_kl / g_kl == 1). A singular A gives +inf everywhere.
     """
-    n = A.n
     g, ok = _batched_inverse(A.entries[None])
     if not ok[0]:
-        return np.full((n, n), np.inf)
-    g = g[0]
-    rows, cols = A.pattern.index_arrays
-    mags = np.abs(A.entries[rows, cols])
-    base = cond_det(A)
-    out = np.empty((n, n))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(n):
-            keep = cols != k
-            i, j = rows[keep], cols[keep]
-            # h[l, s] is exactly 0 on the deleted row l (g_kl / g_kl == 1),
-            # and dividing before multiplying keeps a scaled A from
-            # overflowing or underflowing where the minor does not
-            h = g[j, i] - g.T[:, j] * (g[k, i] / g[k][:, None])
-            sums = (mags[keep] * np.abs(h)).sum(axis=1)
-            sums[(g[k] == 0.0) | ~np.isfinite(sums)] = np.inf
-            out[k] = base + sums
-    return out
+        return np.full((A.n, A.n), np.inf)
+    return cond_det(A) + _cramer_sums(A, g[0], g[0])
 
 
 def bound_solve_entry(A: PatternedMatrix, b, k: int) -> float:
     """Upper bound for cond_solve_entry: cond_det(A) + cond_det of A with
     column k replaced by b (pattern widened on that column)."""
-    return cond_det(A) + cond_det(replace_column(A, k, b))
+    return _entry(bound_solve_entries(A, b), k)
 
 
 def bound_solve_entries(A: PatternedMatrix, b) -> np.ndarray:
-    """bound_solve_entry for every k, as one batch of column-replaced matrices."""
-    cols = np.arange(A.n)
-    replaced = np.repeat(A.entries[None], A.n, axis=0)
-    replaced[cols, :, cols] = np.asarray(b, dtype=float)
-    return cond_det(A) + batch_cond_det(replaced)
+    """bound_solve_entry for every k, from the one inverse G of A.
+
+    Replacing column k by b is a rank-one update: with x = G b, the replaced
+    matrix has the inverse G - (x - e_k) g_k^T / x_k, whose row k is
+    g_k^T / x_k, and the determinant det(A) x_k. Its cond_det is the sum of
+    _cramer_sums with u = x and sum_i |b_i| |g_ki| / |x_k|; it is singular
+    exactly when x_k == 0. A singular A or a non-finite x gives +inf
+    everywhere.
+    """
+    rhs = as_rhs(b, A.n)
+    g, ok = _batched_inverse(A.entries[None])
+    g = g[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = g @ rhs
+        if not (ok[0] and np.isfinite(x).all()):
+            return np.full(A.n, np.inf)
+        column_b = np.abs(g) @ np.abs(rhs)
+    return cond_det(A) + _cramer_sums(A, g, x[:, None])[:, 0] + componentwise_ratio(column_b, x)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +366,7 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     if quantity == "solve":
         if b is None:
             raise ValueError("quantity 'solve' needs a right-hand side")
-        rhs = np.asarray(b, dtype=float)
-        if rhs.shape != (n,):
-            raise ValueError(f"rhs length {rhs.shape} does not match matrix dimension {n}")
+        rhs = as_rhs(b, n)
     shape = {"det": (), "inv": (n, n), "solve": (n,)}[quantity]
     if n == 0:
         return 0.0 if quantity == "det" else np.zeros(shape)
@@ -621,9 +641,8 @@ def condition_report(A: PatternedMatrix, b=None) -> ConditionReport:
     inv_entries = cond_inverse_entries(A)
     binv = bound_inverse_entries(A)
     if b is not None:
-        rhs = np.asarray(b, dtype=float)
-        solve_entries = cond_solve_entries(A, rhs)
-        bsol = bound_solve_entries(A, rhs)
+        solve_entries = cond_solve_entries(A, b)
+        bsol = bound_solve_entries(A, b)
         c_solve_val = float(solve_entries.max())
     else:
         solve_entries = None

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conditioning import (_tiled, batch_cond_solve, componentwise_distance, componentwise_ratio,
                            cond_solve)
-from .linalg import _is_lower, as_array, format17
+from .linalg import _is_lower, as_array, as_rhs, format17
 from .smoothed import _gather_values, _sigma_factor, sample_batch
 
 # decimal digits of slack absorbing the vanishing remainder term in the
@@ -89,11 +89,8 @@ def forward_substitution(L, b, cfg: PrecisionConfig) -> np.ndarray:
     and makes runs reproducible. A batch of one on forward_substitution_batch.
     """
     mat = as_array(L)
-    rhs = np.asarray(b, dtype=float)
     _check_lower_triangular(mat)
-    n = mat.shape[0]
-    if rhs.shape != (n,):
-        raise ValueError(f"rhs length {rhs.shape} does not match dimension {n}")
+    rhs = as_rhs(b, mat.shape[0])
     return forward_substitution_batch(mat[None], rhs[None], cfg)[0]
 
 
@@ -150,7 +147,7 @@ def _omegas(L: np.ndarray, b: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         r = b - (L @ x_hat[..., None])[..., 0]
         den = (np.abs(L) @ np.abs(x_hat)[..., None])[..., 0]
-    return componentwise_ratio(r, den).max(axis=-1)
+    return componentwise_ratio(r, den).max(axis=-1, initial=0.0)
 
 
 def backward_error_omega(L, b, x_hat) -> float:
@@ -160,12 +157,14 @@ def backward_error_omega(L, b, x_hat) -> float:
     with r = b - L x_hat; a zero denominator contributes 0 when the residual
     component is zero and +inf otherwise.
     """
-    return float(_omegas(as_array(L), np.asarray(b, dtype=float), np.asarray(x_hat, dtype=float)))
+    mat = as_array(L)
+    return float(_omegas(mat, as_rhs(b, mat.shape[0]), np.asarray(x_hat, dtype=float)))
 
 
 def backward_error_bound(n: int, cfg: PrecisionConfig) -> float:
-    """Componentwise backward-error guarantee for forward substitution."""
-    return 2.0 * math.log2(n) * cfg.eps_mach
+    """Componentwise backward-error guarantee for forward substitution; 0.0
+    for n <= 1."""
+    return 2.0 * math.log2(n) * cfg.eps_mach if n > 1 else 0.0
 
 
 def _log10_or_neg_inf(x: float) -> float:
@@ -175,8 +174,8 @@ def _log10_or_neg_inf(x: float) -> float:
 
 
 def _lop_dimension_term(n: int) -> float:
-    """log10(2 log2 n), the dimension term of the LoP prediction; -inf at n = 1."""
-    return _log10_or_neg_inf(2.0 * math.log2(n))
+    """log10(2 log2 n), the dimension term of the LoP prediction; -inf for n <= 1."""
+    return math.log10(2.0 * math.log2(n)) if n > 1 else -math.inf
 
 
 def lop_prediction(L, b) -> float:

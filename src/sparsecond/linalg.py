@@ -1,10 +1,10 @@
 """Dense linear algebra for small matrices with first-class sparsity patterns.
 
-Determinant, inverse and solve, minors and column replacement. The scalar
-routines are a batch of one on the batched inverse that the condition kernels
-use, so both follow one singularity rule. Singularity is a value (SINGULAR),
-not an exception: callers map it to an infinite condition number.
-Row/column arguments are 1-based, matching the documentation and file formats.
+Determinant, inverse and solve. The scalar routines are a batch of one on the
+batched inverse that the condition kernels use, so both follow one singularity
+rule. Singularity is a value (SINGULAR), not an exception: callers map it to an
+infinite condition number. Row/column arguments are 1-based, matching the
+documentation and file formats.
 """
 
 from __future__ import annotations
@@ -71,6 +71,14 @@ def as_array(A) -> np.ndarray:
     if isinstance(A, PatternedMatrix):
         return A.entries
     return np.asarray(A, dtype=float)
+
+
+def as_rhs(b, n: int) -> np.ndarray:
+    """b as a float vector; ValueError unless it has length n."""
+    rhs = np.asarray(b, dtype=float)
+    if rhs.shape != (n,):
+        raise ValueError(f"rhs length {rhs.shape} does not match matrix dimension {n}")
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -196,48 +204,13 @@ def solve(A, b):
     """Solution of A x = b as A^-1 b, or SINGULAR when A is singular or the
     solution is not finite (the rule of the solve condition kernel)."""
     a = as_array(A)
-    rhs = np.asarray(b, dtype=float)
-    if rhs.shape != (a.shape[0],):
-        raise ValueError(f"rhs length {rhs.shape} does not match matrix dimension {a.shape[0]}")
+    rhs = as_rhs(b, a.shape[0])
     g = inverse(a)
     if g is SINGULAR:
         return SINGULAR
     with np.errstate(over="ignore", invalid="ignore"):
         x = g @ rhs
     return x if np.isfinite(x).all() else SINGULAR
-
-
-def minor(A: PatternedMatrix, i: int, j: int) -> "PatternedMatrix | None":
-    """Submatrix with row i and column j deleted (1-based); pattern is induced.
-
-    Returns None for a 1x1 input (the empty matrix).
-    """
-    n = A.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"minor indices ({i}, {j}) outside [1, {n}]")
-    if n == 1:
-        return None
-    sub = np.delete(np.delete(A.entries, i - 1, axis=0), j - 1, axis=1)
-    pat = A.pattern.drop_row_col(i, j)
-    if pat is None:
-        # all surviving entries are structural zeros; keep a full zero pattern
-        # carrier so the caller can still ask for its determinant (which is 0)
-        pat = full_pattern(n - 1)
-        return PatternedMatrix(pat, np.zeros((n - 1, n - 1)))
-    return PatternedMatrix(pat, sub * pat.mask)
-
-
-def replace_column(A: PatternedMatrix, k: int, b) -> PatternedMatrix:
-    """Copy of A with column k (1-based) replaced by b; column k is widened."""
-    n = A.n
-    if not 1 <= k <= n:
-        raise ValueError(f"column index {k} outside [1, {n}]")
-    rhs = np.asarray(b, dtype=float)
-    if rhs.shape != (n,):
-        raise ValueError(f"rhs length {rhs.shape} does not match dimension {n}")
-    entries = A.entries.copy()
-    entries[:, k - 1] = rhs
-    return PatternedMatrix(A.pattern.widen_column(k), entries)
 
 
 def format17(x) -> str:

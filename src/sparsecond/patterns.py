@@ -58,30 +58,6 @@ class SparsityPattern:
         cols.setflags(write=False)
         return rows, cols
 
-    def widen_column(self, k: int) -> "SparsityPattern":
-        """Pattern with column k (1-based) opened up to all rows."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"column index {k} outside [1, {self.n}]")
-        extra = {(i, k) for i in range(1, self.n + 1)}
-        return SparsityPattern(self.n, self.positions | extra)
-
-    def drop_row_col(self, i: int, j: int) -> "SparsityPattern | None":
-        """Induced pattern after deleting row i and column j (1-based).
-
-        Returns None for n == 1 (the empty pattern) or when no positions
-        survive the deletion.
-        """
-        if self.n == 1:
-            return None
-        kept = set()
-        for r, c in self.positions:
-            if r == i or c == j:
-                continue
-            kept.add((r - 1 if r > i else r, c - 1 if c > j else c))
-        if not kept:
-            return None
-        return SparsityPattern(self.n - 1, frozenset(kept))
-
 
 def full_pattern(n: int) -> SparsityPattern:
     return SparsityPattern(n, frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1)))

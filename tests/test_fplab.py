@@ -283,6 +283,19 @@ class TestSolveAccuracy:
         assert rep.lop == loss_of_precision(rep.rel_error, P24)
         assert rep.backward_bound == backward_error_bound(6, P24)
 
+    @pytest.mark.filterwarnings("error")
+    def test_empty_system(self):
+        # the diagnostics of a 0 x 0 system follow the n = 1 conventions of
+        # the dimension terms, like the condition functions that give 0.0
+        empty, rhs = np.zeros((0, 0)), np.zeros(0)
+        rep = solve_accuracy(empty, rhs, P24)
+        assert rep.x_hat.shape == rep.x_ref.shape == (0,)
+        assert (rep.rel_error, rep.lop, rep.omega, rep.backward_bound) == (0.0, 0.0, 0.0, 0.0)
+        assert rep.lop_bound == -math.inf
+        assert backward_error_omega(empty, rhs, rhs) == 0.0
+        assert lop_prediction(empty, rhs) == -math.inf
+        assert backward_error_bound(0, P24) == 0.0
+
 
 class TestAccuracyExperiment:
     def test_rejects_non_triangular_pattern(self):

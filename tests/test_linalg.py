@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from sparsecond.conditioning import cond_det, cond_solve_entries
+from sparsecond.conditioning import (bound_inverse_entry, bound_solve_entries, bound_solve_entry,
+                                     cond_det, cond_solve_entries)
+from sparsecond.fplab import PrecisionConfig, backward_error_omega, forward_substitution
 from sparsecond.linalg import (
     SINGULAR,
     PatternedMatrix,
@@ -13,15 +15,15 @@ from sparsecond.linalg import (
     _lower_inverse,
     determinant,
     inverse,
-    minor,
     read_matrix_file,
     read_vector_file,
-    replace_column,
     solve,
     write_matrix_file,
     write_vector_file,
 )
 from sparsecond.patterns import lower_triangular_pattern, tridiagonal_pattern
+
+from explicit_bounds import minor, replace_column
 
 COMPOSE_RTOL = 1e-9
 
@@ -191,6 +193,29 @@ def test_index_bounds_are_caller_faults():
         minor(a, 0, 1)
     with pytest.raises(ValueError):
         replace_column(a, 3, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bound_inverse_entry(PatternedMatrix.dense(np.eye(2)), 0, 1),
+    lambda: bound_inverse_entry(PatternedMatrix.dense(np.eye(2)), 1, 3),
+    lambda: bound_solve_entry(PatternedMatrix.dense(np.eye(2)), [1.0, 1.0], 0),
+    lambda: bound_solve_entry(PatternedMatrix.dense(np.eye(2)), [1.0, 1.0], 3),
+], ids=["inverse_k0", "inverse_l3", "solve_k0", "solve_k3"])
+def test_bound_indices_are_caller_faults(call):
+    with pytest.raises(ValueError, match="outside"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bound_solve_entries(PatternedMatrix.dense(np.eye(3)), 1.0),
+    lambda: cond_solve_entries(np.eye(3), [1.0, 2.0]),
+    lambda: solve(np.eye(3), [1.0, 2.0]),
+    lambda: forward_substitution(np.eye(3), [1.0, 2.0, 3.0, 4.0], PrecisionConfig(24)),
+    lambda: backward_error_omega(np.eye(3), 1.0, [1.0, 1.0, 1.0]),
+], ids=["bound_scalar", "cond_short", "solve_short", "substitution_long", "omega_scalar"])
+def test_rhs_length_is_a_caller_fault(call):
+    with pytest.raises(ValueError, match=r"rhs length \(.*\) does not match matrix dimension"):
+        call()
 
 
 def test_matrix_file_round_trip(tmp_path):

@@ -14,6 +14,8 @@ from sparsecond.patterns import (
     write_pattern_file,
 )
 
+from explicit_bounds import drop_row_col, widen_column
+
 
 def test_sizes():
     assert len(full_pattern(3)) == 9
@@ -76,12 +78,12 @@ def test_admissible_matches_brute_force():
 
 
 def test_widen_column():
-    pat = lower_triangular_pattern(3).widen_column(3)
+    pat = widen_column(lower_triangular_pattern(3), 3)
     assert (1, 3) in pat and (2, 3) in pat
 
 
 def test_drop_row_col():
-    pat = tridiagonal_pattern(3).drop_row_col(2, 2)
+    pat = drop_row_col(tridiagonal_pattern(3), 2, 2)
     # remaining corners (1,1) and (3,3) reindex to a 2x2 diagonal
     assert pat.positions == frozenset({(1, 1), (2, 2)})
 
