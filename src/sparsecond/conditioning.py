@@ -150,10 +150,14 @@ def bound_inverse_entries(A: PatternedMatrix) -> np.ndarray:
     det(minor) = +-det(A) g_kl). On the deleted row l the term is exactly 0
     (g_kl / g_kl == 1). A singular A gives +inf everywhere.
     """
-    g, ok = _batched_inverse(A.entries[None])
+    return _bound_inverse(A, *_batched_inverse(A.entries[None]))
+
+
+def _bound_inverse(A: PatternedMatrix, g: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """bound_inverse_entries from the batched inverse (g, ok) of A's stack of one."""
     if not ok[0]:
         return np.full((A.n, A.n), np.inf)
-    return cond_det(A) + _cramer_sums(A, g[0], g[0])
+    return _det_sums(A.entries[None], g, ok)[0] + _cramer_sums(A, g[0], g[0])
 
 
 def bound_solve_entry(A: PatternedMatrix, b, k: int) -> float:
@@ -172,25 +176,28 @@ def bound_solve_entries(A: PatternedMatrix, b) -> np.ndarray:
     exactly when x_k == 0. A singular A or a non-finite x gives +inf
     everywhere.
     """
-    rhs = as_rhs(b, A.n)
-    g, ok = _batched_inverse(A.entries[None])
-    g = g[0]
+    return _bound_solve(A, as_rhs(b, A.n), *_batched_inverse(A.entries[None]))
+
+
+def _bound_solve(A: PatternedMatrix, rhs: np.ndarray, g: np.ndarray, ok: np.ndarray):
+    """bound_solve_entries from the batched inverse (g, ok) of A's stack of one."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x = g @ rhs
+        x = g[0] @ rhs
         if not (ok[0] and np.isfinite(x).all()):
             return np.full(A.n, np.inf)
-        column_b = np.abs(g) @ np.abs(rhs)
-    return cond_det(A) + _cramer_sums(A, g, x[:, None])[:, 0] + componentwise_ratio(column_b, x)
+        column_b = np.abs(g[0]) @ np.abs(rhs)
+    return (_det_sums(A.entries[None], g, ok)[0] + _cramer_sums(A, g[0], x[:, None])[:, 0]
+            + componentwise_ratio(column_b, x))
 
 
 # ---------------------------------------------------------------------------
 # finite-perturbation oracle
 
-# Sign patterns per oracle chunk: the trial stack of one chunk stays a few
-# megabytes, however many patterns there are. A power of three, so that every
-# chunk of an exhaustive run of m >= 8 entries shares its trailing 8 digits.
-# At m = 10 and 12, 3^8 ran faster than 3^9 and 3^7 (2 vCPUs, one BLAS thread).
-_ORACLE_CHUNK = 3 ** 8
+# Sign digits per oracle chunk: each chunk holds the trials of the last K
+# digits, 3^K of them, so its trial stack stays a few megabytes however many
+# patterns there are. Over the exhaustive runs at m = 12 and 10 together, K = 8
+# ran faster than 6, 7, 9 and 10 (2 vCPUs, one BLAS thread).
+_ORACLE_DIGITS = 8
 
 # Largest n whose oracle trials are evaluated by cofactors. Up to 4 x 4 the
 # Laplace expansion is at most a few hundred vector operations per chunk,
@@ -208,45 +215,13 @@ def _base3(codes: np.ndarray, width: int) -> np.ndarray:
     return digits
 
 
-def _sign_digits(m: int, start: int, stop: int) -> np.ndarray:
-    """Base-3 digits, most significant first, of the codes in [start, stop),
-    one int8 row each; digit 0, 1, 2 stands for the sign -1, 0, +1. The
-    all-zero sign pattern, the middle code (3^m - 1) / 2, is left out."""
-    codes = np.arange(start, stop)
-    middle = (3 ** m - 1) // 2
-    if start <= middle < stop:
-        codes = np.delete(codes, middle - start)
-    return _base3(codes, m)
-
-
-def _sign_chunks(m: int):
-    """_sign_digits of all 3^m codes, _ORACLE_CHUNK codes at a time.
-
-    When the chunk size divides 3^m it is 3^k, and each chunk is one table of
-    the trailing k digits, built once, behind the constant leading digits of
-    start // 3^k.
-    """
-    total = 3 ** m
-    if total % _ORACLE_CHUNK:
-        for start in range(0, total, _ORACLE_CHUNK):
-            yield _sign_digits(m, start, min(start + _ORACLE_CHUNK, total))
-        return
-    lead = len(np.base_repr(total // _ORACLE_CHUNK, 3)) - 1
-    tail = _base3(np.arange(_ORACLE_CHUNK), m - lead)
-    middle = (total - 1) // 2
-    for high in range(total // _ORACLE_CHUNK):
-        digits = np.empty((_ORACLE_CHUNK, m), dtype=np.int8)
-        digits[:, :lead] = _base3(np.array([high]), lead)
-        digits[:, lead:] = tail
-        if high == middle // _ORACLE_CHUNK:
-            digits = np.delete(digits, middle % _ORACLE_CHUNK, axis=0)
-        yield digits
-
-
-def _sign_table(m: int) -> np.ndarray:
-    """Every nonzero sign pattern in {-1, 0, 1}^m, one float row each, in the
-    order of itertools.product((-1, 0, 1), repeat=m)."""
-    return (_sign_digits(m, 0, 3 ** m) - 1).astype(float)
+def _sign_split(m: int):
+    """The base-3 digits of the codes 0 .. 3^m - 1, most significant first,
+    as the leading digits of each oracle chunk, one int8 row per chunk, and
+    the one table of trailing digits that every chunk shares: L = m - K
+    leading digits (none when m <= K) and 3^(m - L) trailing rows."""
+    lead = max(0, m - _ORACLE_DIGITS)
+    return _base3(np.arange(3 ** lead), lead), _base3(np.arange(3 ** (m - lead)), m - lead)
 
 
 def _prescaled(x: np.ndarray) -> np.ndarray:
@@ -258,20 +233,25 @@ def _prescaled(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, 1 - np.frexp(top)[1]) if top > 0.0 else x
 
 
-def _cofactor_det(rows: tuple, cols: tuple, entry: dict, memo: dict):
+def _cofactor_det(rows: tuple, cols: tuple, entry: dict, memo: tuple, lead: tuple):
     """Determinant of the submatrix on the sorted rows and columns by Laplace
-    expansion along its first row, with every minor memoised in memo. entry
-    maps each support position (i, j) to its values; a structural zero is
-    skipped, not multiplied, and a structurally singular submatrix is None."""
+    expansion along its first row, with every minor memoised. entry maps each
+    support position (i, j) to its values, a vector or a scalar (the same
+    value in every trial); lead holds the positions of the scalars. A minor
+    whose submatrix holds no scalar goes to memo[0], which a caller may keep
+    while the vectors stay the same, every other minor to memo[1]. A
+    structural zero is skipped, not multiplied, and a structurally singular
+    submatrix is None."""
     if not rows:
         return 1.0
     key = (rows, cols)
-    if key not in memo:
+    store = memo[any(i in rows and j in cols for i, j in lead)]
+    if key not in store:
         total = None
         for p, c in enumerate(cols):
             a = entry.get((rows[0], c))
             sub = None if a is None else _cofactor_det(rows[1:], cols[:p] + cols[p + 1:],
-                                                       entry, memo)
+                                                       entry, memo, lead)
             if sub is None:
                 continue
             term = a * sub
@@ -279,43 +259,53 @@ def _cofactor_det(rows: tuple, cols: tuple, entry: dict, memo: dict):
                 total = -term if p % 2 else term
             else:
                 total = total - term if p % 2 else total + term
-        memo[key] = total
-    return memo[key]
+        store[key] = total
+    return store[key]
 
 
-def _cofactor_values(quantity: str, n: int, rows, cols, perturbed: np.ndarray) -> np.ndarray:
+def _cofactor_values(quantity: str, n: int, rows, cols, perturbed, shared=None) -> np.ndarray:
     """What _lapack_values returns, by cofactors: det is the expansion
     itself, the inverse adj / det and the solution adj b / det. For "inv" and
-    "solve", a trial whose determinant is exactly zero is NaN."""
-    width = perturbed.shape[1]
+    "solve", a trial whose determinant is exactly zero is NaN.
+
+    A row of perturbed may be a scalar, its value in every trial; the last
+    row is a vector. shared keeps the minors that use no scalar, for the next
+    call with the same vector rows."""
+    width = len(perturbed[-1])
     entry = dict(zip(zip(rows.tolist(), cols.tolist()), perturbed))
-    memo: dict = {}
+    lead = tuple(pos for pos, values in entry.items() if np.ndim(values) == 0)
+    memo = ({} if shared is None else shared, {})
     every = tuple(range(n))
-    det = _cofactor_det(every, every, entry, memo)
-    if det is None:
-        det = np.zeros(width)
+    det = _cofactor_det(every, every, entry, memo, lead)
+    det = np.full(width, 0.0 if det is None else det)
     if quantity == "det":
         return det[:, None]
     adj = np.zeros((n, n, width))
     for i in range(n):
         for j in range(n):
             minor = _cofactor_det(every[:i] + every[i + 1:], every[:j] + every[j + 1:],
-                                  entry, memo)
+                                  entry, memo, lead)
             if minor is not None:
                 adj[j, i] = -minor if (i + j) % 2 else minor
     det = np.where(det == 0.0, np.nan, det)
     with np.errstate(over="ignore"):
         if quantity == "inv":
             return (adj / det).reshape(n * n, width).T
-        return ((adj * perturbed[len(rows):]).sum(axis=1) / det).T
+        # one add per i from 0.0, in the order of (adj * b).sum(axis=1)
+        x = 0.0
+        for i, b_i in enumerate(perturbed[len(rows):]):
+            x = x + adj[:, i] * b_i
+        return (x / det).T
 
 
-def _lapack_values(quantity: str, n: int, rows, cols, perturbed: np.ndarray) -> np.ndarray:
+def _lapack_values(quantity: str, n: int, rows, cols, perturbed, shared=None) -> np.ndarray:
     """The quantity on every trial, one row each: det (one column), the
     row-major inverse (n * n) or the solution (n). Row e of perturbed holds
-    the values of perturbed entry e in every trial: the support entries in
-    the order of (rows, cols), then b. A trial that LAPACK finds exactly
-    singular is NaN for "inv" and "solve"."""
+    the values of perturbed entry e in every trial, or one scalar for all of
+    them: the support entries in the order of (rows, cols), then b. A trial
+    that LAPACK finds exactly singular is NaN for "inv" and "solve". shared
+    is not used."""
+    perturbed = np.array(np.broadcast_arrays(*perturbed))
     width = perturbed.shape[1]
     support = len(rows)
     stack = np.zeros((width, n * n))
@@ -339,7 +329,11 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     perturbed entry count m is at most exhaustive_limit; beyond that,
     random_trials random full-magnitude sign patterns are sampled, which makes
     the result a lower estimate of the true supremum. Trials run in chunks of
-    _ORACLE_CHUNK patterns, so memory does not grow with 3^m.
+    3^8, so memory does not grow with 3^m: an exhaustive chunk holds its
+    leading m - 8 perturbed entries as scalars, all chunks share one table of
+    the trailing entries' values, and the minors that do not involve a
+    leading entry are computed once per call. The all-zero sign pattern is
+    evaluated like any other trial and adds a distance of 0.
 
     A and b are first scaled, each by a power of two, so that their largest
     entry lies in [1, 2); the result does not depend on their scale. Up to
@@ -352,8 +346,8 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     Returns a scalar for "det", an (n, n) array for "inv", an (n,) array for
     "solve"; like the closed forms, 0.0 or an empty array for a 0 x 0 A.
     """
-    if delta <= 0.0:
-        raise ValueError(f"perturbation scale must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"perturbation scale must be positive and finite, got {delta}")
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {_QUANTITIES}")
     if random_trials < 1:
@@ -398,18 +392,26 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     tol = 0.0 if quantity == "det" else ZERO_SNAP * np.abs(ref).max()
     ref_s = np.where(np.abs(ref) > tol, ref, 0.0)
 
+    # an exhaustive chunk holds its L leading entries as scalars, and every
+    # chunk shares the vectors of the trailing ones, so the minors without a
+    # leading entry are computed once per call; random chunks share nothing
     if m <= exhaustive_limit:
-        chunks = _sign_chunks(m)
+        heads, tail = _sign_split(m)
+        lead = heads.shape[1]
+        trail = list(table[np.arange(lead, m)[:, None], tail.T])
+        minors: dict = {}
+        chunks = ((table[np.arange(lead), head].tolist() + trail, minors) for head in heads)
     else:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
         draws = rng.integers(0, 2, size=(random_trials, m)) * 2
-        chunks = (draws[start:start + _ORACLE_CHUNK]
-                  for start in range(0, random_trials, _ORACLE_CHUNK))
-    entry_index = np.arange(m)[:, None]
+        size = 3 ** _ORACLE_DIGITS
+        chunks = ((table[np.arange(m)[:, None], draws[start:start + size].T], {})
+                  for start in range(0, random_trials, size))
     worst = 0.0
-    for digits in chunks:
-        pert = values(quantity, n, rows, cols, table[entry_index, digits.T])
-        # NaN (a singular trial) is kept, so the ratio makes it +inf
+    for perturbed, shared in chunks:
+        pert = values(quantity, n, rows, cols, perturbed, shared)
+        # NaN (a singular trial) is kept, so the ratio makes it +inf; the
+        # all-zero sign pattern is a trial too, at a distance of exactly 0
         pert_s = np.where(np.abs(pert) <= tol, 0.0, pert)
         worst = np.maximum(worst, np.abs(pert_s - ref_s).max(axis=0))
     # the largest distance over the trials, divided once: division by |ref|
@@ -450,16 +452,24 @@ def _tiled(kernel):
     return run
 
 
-@_tiled
-def batch_cond_det(stack: np.ndarray) -> np.ndarray:
-    """cond_det of every matrix in a (M, n, n) stack; inf where singular."""
-    g, ok = _batched_inverse(stack)
+# The formulas below are functions of a stack, its batched inverse g and the
+# mask ok of members that have one, so that condition_report inverts once;
+# the kernels' formulas may overwrite g.
+
+def _det_sums(stack: np.ndarray, g: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """cond_det of the members of a stack; inf where singular."""
     vals = np.full(stack.shape[0], np.inf)
     if ok.any():
         sub = np.abs(_members(stack, ok) * np.swapaxes(_members(g, ok), -1, -2)).sum(axis=(-1, -2))
         sub[~np.isfinite(sub)] = np.inf
         vals[ok] = sub
     return vals
+
+
+@_tiled
+def batch_cond_det(stack: np.ndarray) -> np.ndarray:
+    """cond_det of every matrix in a (M, n, n) stack; inf where singular."""
+    return _det_sums(stack, *_batched_inverse(stack))
 
 
 def _snap_batch(values: np.ndarray, axes) -> np.ndarray:
@@ -472,21 +482,11 @@ def _snap_batch(values: np.ndarray, axes) -> np.ndarray:
     return mags
 
 
-def _inverse_ratios(stack: np.ndarray):
-    """Entrywise inversion condition numbers of the members of a (M, n, n)
-    stack that have an inverse, and the mask of those members."""
-    g, ok = _batched_inverse(stack)
+def _inverse_entries(stack: np.ndarray, g: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Entrywise inversion condition numbers; rows of singular members are
+    all +inf."""
     gs = _snap_batch(_members(g, ok), (-1, -2))
-    return componentwise_ratio(gs @ np.abs(_members(stack, ok)) @ gs, gs), ok
-
-
-@_tiled
-def batch_cond_inverse_entries(stack: np.ndarray) -> np.ndarray:
-    """Entrywise inversion condition numbers for a (M, n, n) stack.
-
-    Rows of singular matrices are all +inf.
-    """
-    ratios, ok = _inverse_ratios(stack)
+    ratios = componentwise_ratio(gs @ np.abs(_members(stack, ok)) @ gs, gs)
     if ok.all():
         return ratios
     vals = np.full(stack.shape, np.inf)
@@ -495,19 +495,29 @@ def batch_cond_inverse_entries(stack: np.ndarray) -> np.ndarray:
 
 
 @_tiled
+def batch_cond_inverse_entries(stack: np.ndarray) -> np.ndarray:
+    """Entrywise inversion condition numbers for a (M, n, n) stack.
+
+    Rows of singular matrices are all +inf.
+    """
+    return _inverse_entries(stack, *_batched_inverse(stack))
+
+
+@_tiled
 def batch_cond_inverse(stack: np.ndarray) -> np.ndarray:
     """cond_inverse of every matrix in a stack; inf where singular."""
-    ratios, ok = _inverse_ratios(stack)
-    vals = np.full(stack.shape[0], np.inf)
-    vals[ok] = ratios.max(axis=(-1, -2), initial=0.0)
-    return vals
+    return _inverse_entries(stack, *_batched_inverse(stack)).max(axis=(-1, -2), initial=0.0)
 
 
 @_tiled
 def batch_cond_solve_entries(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Componentwise solve condition numbers for (M, n, n) and (M, n) stacks."""
-    g, ok = _batched_inverse(stack)
-    ok &= np.isfinite(rhs).all(axis=-1)
+    return _solve_entries(stack, rhs, *_batched_inverse(stack))
+
+
+def _solve_entries(stack: np.ndarray, rhs: np.ndarray, g: np.ndarray, ok: np.ndarray):
+    """Componentwise solve condition numbers; inf where singular."""
+    ok = ok & np.isfinite(rhs).all(axis=-1)
     vals = np.full(rhs.shape, np.inf)
     if not ok.any():
         return vals
@@ -636,25 +646,25 @@ def _fmt_inf(x: float) -> str:
 
 
 def condition_report(A: PatternedMatrix, b=None) -> ConditionReport:
-    """Assemble all condition numbers and bounds for one instance."""
-    c_det_val = cond_det(A)
-    inv_entries = cond_inverse_entries(A)
-    binv = bound_inverse_entries(A)
+    """Assemble all condition numbers and bounds for one instance, from one
+    inverse of A."""
+    stack = A.entries[None]
+    g, ok = _batched_inverse(stack)
+    # the kernels' formulas overwrite the g they get
+    inv_entries = _inverse_entries(stack, g.copy(), ok)[0]
+    solve_entries = bsol = c_solve_val = None
     if b is not None:
-        solve_entries = cond_solve_entries(A, b)
-        bsol = bound_solve_entries(A, b)
+        rhs = as_rhs(b, A.n)
+        solve_entries = _solve_entries(stack, rhs[None], g.copy(), ok)[0]
+        bsol = _bound_solve(A, rhs, g, ok)
         c_solve_val = float(solve_entries.max())
-    else:
-        solve_entries = None
-        bsol = None
-        c_solve_val = None
     return ConditionReport(
         n=A.n,
         pattern_size=len(A.pattern),
-        c_det=c_det_val,
+        c_det=float(_det_sums(stack, g, ok)[0]),
         c_inv=float(inv_entries.max()),
         c_inv_entries=inv_entries,
-        bound_inv_entries=binv,
+        bound_inv_entries=_bound_inverse(A, g, ok),
         c_solve=c_solve_val,
         c_solve_entries=solve_entries,
         bound_solve_entries=bsol,

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from sparsecond.patterns import (full_pattern, lower_triangular_pattern, pattern
                                  tridiagonal_pattern)
 
 from explicit_bounds import inverse_bounds, solve_bounds
+from reference_oracle import sign_digits, sign_table, whole_table_oracle
 
 A22 = PatternedMatrix.dense([[1.0, 2.0], [3.0, 4.0]])
 SING = PatternedMatrix.dense([[1.0, 2.0], [2.0, 4.0]])
@@ -299,9 +301,11 @@ class TestBounds:
 
 
 class TestOracle:
+    @pytest.mark.filterwarnings("error")
     def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            oracle_condition("det", A22, delta=0.0)
+        for delta in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                oracle_condition("det", A22, delta=delta)
 
     def test_det_identity(self):
         got = oracle_condition("det", PatternedMatrix.dense(np.eye(2)), delta=1e-6)
@@ -333,7 +337,7 @@ class TestOracle:
     def test_sign_table_is_the_product_order(self, m):
         table = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=m)))
         table = table[np.any(table != 0.0, axis=1)]
-        got = conditioning._sign_table(m)
+        got = sign_table(m)
         assert got.dtype == table.dtype and got.shape == table.shape
         assert got.tobytes() == table.tobytes()
 
@@ -512,15 +516,15 @@ class TestOracleChunks:
     def test_chunk_size_invariance(self, case, monkeypatch):
         quantity, a, b, kwargs = self.CASES[case]
         expected = np.asarray(oracle_condition(quantity, a, b, **kwargs))
-        for chunk in (7, 3 ** 8 + 1):
-            monkeypatch.setattr(conditioning, "_ORACLE_CHUNK", chunk)
+        for digits in (1, 2, 9):
+            monkeypatch.setattr(conditioning, "_ORACLE_DIGITS", digits)
             got = np.asarray(oracle_condition(quantity, a, b, **kwargs))
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", range(0, 7))
     def test_chunked_digits_are_the_sign_table(self, m):
-        table = conditioning._sign_table(m)
-        chunks = [conditioning._sign_digits(m, start, min(start + 5, 3 ** m))
+        table = sign_table(m)
+        chunks = [sign_digits(m, start, min(start + 5, 3 ** m))
                   for start in range(0, 3 ** m, 5)]
         assert_array_equal(np.concatenate(chunks) - 1.0, table)
 
@@ -556,12 +560,14 @@ class TestOracleChunks:
 
     @pytest.mark.parametrize("m", [9, 10, 11])
     def test_power_of_three_chunks_are_the_sign_digits(self, m, monkeypatch):
-        expected = conditioning._sign_digits(m, 0, 3 ** m)
-        for chunk in (3 ** 8, 3 ** 5):
-            monkeypatch.setattr(conditioning, "_ORACLE_CHUNK", chunk)
-            chunks = list(conditioning._sign_chunks(m))
-            assert all(len(c) <= chunk for c in chunks)
-            got = np.concatenate(chunks)
+        # every code once and in order, the all-zero sign pattern included
+        expected = np.insert(sign_digits(m, 0, 3 ** m), (3 ** m - 1) // 2, 1, axis=0)
+        for digits in (8, 5):
+            monkeypatch.setattr(conditioning, "_ORACLE_DIGITS", digits)
+            heads, tail = conditioning._sign_split(m)
+            assert len(tail) <= 3 ** digits
+            got = np.concatenate([np.hstack([np.broadcast_to(head, (len(tail), len(head))), tail])
+                                  for head in heads])
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("quantity, a, b", [
@@ -574,9 +580,72 @@ class TestOracleChunks:
     ])
     def test_shared_digit_table_keeps_the_oracle_bits(self, quantity, a, b, monkeypatch):
         expected = np.asarray(oracle_condition(quantity, a, b))
-        monkeypatch.setattr(conditioning, "_ORACLE_CHUNK", 3 ** 8 + 1)
+        monkeypatch.setattr(conditioning, "_ORACLE_DIGITS", 12)  # one chunk, no scalars
         got = np.asarray(oracle_condition(quantity, a, b))
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def _oracle_system(seed, quantity, most):
+    """A random admissible pattern with n <= 4 (a random permutation and
+    random extra positions) and at most `most` perturbed entries, mostly
+    near that many; entries and rhs of magnitudes e^+-5, some rhs entries
+    exactly zero."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    if quantity == "solve":
+        n = min(n, most // 2)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.arange(n), rng.permutation(n)] = True
+    room = max(most - n - (n if quantity == "solve" else 0), 0)
+    mask.flat[rng.permutation(np.flatnonzero(~mask))[:rng.integers(room // 2, room + 1)]] = True
+    a = rng.standard_normal((n, n)) * np.exp(rng.uniform(-5.0, 5.0, (n, n))) * mask
+    b = rng.standard_normal(n) * np.exp(rng.uniform(-5.0, 5.0, n)) * (rng.random(n) < 0.7)
+    return PatternedMatrix(pattern_from_mask(mask), a), b
+
+
+def _assert_whole_table_bits(quantity, a, b, digits, **kwargs):
+    expected = np.asarray(whole_table_oracle(quantity, a, b, **kwargs))
+    with mock.patch.object(conditioning, "_ORACLE_DIGITS", digits):
+        got = np.asarray(oracle_condition(quantity, a, b, **kwargs))
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+class TestOracleAgainstTheWholeTable:
+    """Leading entries as scalars and minors shared between chunks give the
+    bytes of the evaluation that gathers every chunk's whole table with a
+    fresh memo and leaves the all-zero sign pattern out (reference_oracle)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([1, 5, 8]), st.sampled_from(["det", "inv", "solve"]), _SEEDS)
+    def test_same_bytes_on_random_patterns(self, digits, quantity, seed):
+        # one sign digit per chunk means 3^(m - 1) chunks: keep m small there
+        a, b = _oracle_system(seed, quantity, 6 if digits == 1 else 10)
+        _assert_whole_table_bits(quantity, a, b, digits)
+
+    DENSE3 = PatternedMatrix.dense([[3.0, 1.0, -0.5], [0.5, 2.5, 1.0], [-1.0, 0.5, 4.0]])
+    TRI5 = PatternedMatrix(pattern_from_mask(np.eye(5, dtype=bool) | np.eye(5, k=-1, dtype=bool)
+                                             & (np.arange(5) % 2 == 1)[:, None]),
+                           np.diag([2.0, 3.0, -1.5, 2.5, 4.0]) + np.diag([0.5, 0.0, -1.0, 0.0], -1))
+
+    @pytest.mark.parametrize("quantity, a, b, digits, kwargs", [
+        ("solve", DENSE3, [1.0, -2.0, 0.5], 8, {}),  # m = 12
+        ("inv", PatternedMatrix(pattern_from_mask(~np.eye(4, k=2, dtype=bool)
+                                                  & ~np.eye(4, k=-2, dtype=bool)
+                                                  & ~np.eye(4, k=3, dtype=bool)),
+                                np.diag([2.0, 3.0, -2.5, 2.0]) + np.diag([0.5, -1.0, 0.25], 1)
+                                + np.diag([1.0, 0.5, -0.75], -1) + np.diag([0.3], -3)),
+         None, 5, {}),  # m = 11
+        # random sign rows beyond the exhaustive limit, over six chunks
+        ("solve", DENSE3, [1.0, -2.0, 0.5], 2, {"exhaustive_limit": 6, "random_trials": 50}),
+        # n = 5 is on the LAPACK path, which gets the scalars broadcast
+        ("inv", TRI5, None, 5, {}),
+        ("solve", TRI5, [1.0, 0.0, -2.0, 0.5, 1.5], 2,
+         {"exhaustive_limit": 6, "random_trials": 40}),
+        # a trial with an exactly singular matrix
+        ("solve", PatternedMatrix.dense([[1.0, 1.0], [1.0, 1.0 + 1e-6]]), [1.0, 2.0], 1, {}),
+    ], ids=["solve-m12", "inv-m11", "random", "lapack-inv", "lapack-solve", "singular-trial"])
+    def test_same_bytes_on_fixed_cases(self, quantity, a, b, digits, kwargs):
+        _assert_whole_table_bits(quantity, a, b, digits, **kwargs)
 
 
 # A 2 + 2 block lower-triangular mask, symmetrically permuted; the inverse
@@ -642,7 +711,7 @@ class TestCofactorOracle:
         a = _well_conditioned_on(pattern_from_mask(mask), np.random.default_rng(n))
         rows, cols = a.pattern.index_arrays
         m = len(rows)
-        digits = conditioning._sign_digits(m, 0, min(3 ** m, 5000))
+        digits = sign_digits(m, 0, min(3 ** m, 5000))
         levels = 1.0 + 1e-6 * np.array([-1.0, 0.0, 1.0])
         perturbed = (a.entries[rows, cols][:, None] * levels)[np.arange(m)[:, None], digits.T]
         # every trial, not only the snapped oracle output, is exactly zero
@@ -946,6 +1015,38 @@ class TestConditionReport:
         rep = condition_report(SING)
         assert rep.singular
         assert "+inf" in rep.to_text()
+
+    @pytest.mark.parametrize("with_rhs", [False, True])
+    def test_one_inverse_per_report(self, with_rhs, monkeypatch):
+        calls = []
+
+        def counted(stack):
+            calls.append(len(stack))
+            return linalg._batched_inverse(stack)
+
+        rng = np.random.default_rng(44)
+        pat = tridiagonal_pattern(40)
+        a = PatternedMatrix(pat, rng.standard_normal((40, 40)) * pat.mask)
+        b = rng.standard_normal(40) if with_rhs else None
+        monkeypatch.setattr(conditioning, "_batched_inverse", counted)
+        condition_report(a, b)
+        assert calls == [1]
+
+    def test_same_bits_as_the_public_functions(self):
+        rng = np.random.default_rng(45)
+        pat = tridiagonal_pattern(40)
+        for a in (PatternedMatrix.dense(rng.standard_normal((5, 5))), tri_matrix(rng, 6),
+                  PatternedMatrix(pat, rng.standard_normal((40, 40)) * pat.mask), SING,
+                  PatternedMatrix.dense([[1.0, 1e-12], [1e-12, 1.0]])):
+            b = rng.standard_normal(a.n)
+            b[0] = 0.0
+            rep = condition_report(a, b)
+            assert rep.c_det == cond_det(a)
+            for got, ref in ((rep.c_inv_entries, cond_inverse_entries(a)),
+                             (rep.bound_inv_entries, bound_inverse_entries(a)),
+                             (rep.c_solve_entries, cond_solve_entries(a, b)),
+                             (rep.bound_solve_entries, bound_solve_entries(a, b))):
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def _property_input(kind, n, seed):
