@@ -22,6 +22,7 @@ without using any derivative formula.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -193,35 +194,35 @@ def _bound_solve(A: PatternedMatrix, rhs: np.ndarray, g: np.ndarray, ok: np.ndar
 # ---------------------------------------------------------------------------
 # finite-perturbation oracle
 
-# Sign digits per oracle chunk: each chunk holds the trials of the last K
-# digits, 3^K of them, so its trial stack stays a few megabytes however many
-# patterns there are. Over the exhaustive runs at m = 12 and 10 together, K = 8
-# ran faster than 6, 7, 9 and 10 (2 vCPUs, one BLAS thread).
-_ORACLE_DIGITS = 8
+# Perturbed entries per oracle chunk on the broadcast axes of a sign grid,
+# whose 3^K trials bound a chunk's largest array; the m - K leading entries
+# are floats. Over the exhaustive runs at m = 12 and 10 (one BLAS thread,
+# 2 vCPUs), K = 7..12 took 89 / 39 / 22 / 15 / 13 / 16 ms, and the benchmark's
+# exact-tridiag job peaked at 39.2 / 39.3 / 39.4 / 40.8 / 41.9 / 47.5 MB resident.
+# At K = 9 the m = 12 solve traces 0.47 MB of allocations, at 10 1.16 MB.
+_ORACLE_DIGITS = 9
 
 # Largest n whose oracle trials are evaluated by cofactors. Up to 4 x 4 the
-# Laplace expansion is at most a few hundred vector operations per chunk,
+# Laplace expansion is at most a few hundred array operations per chunk,
 # far cheaper than LAPACK's per-matrix call cost; beyond, its cost grows
 # factorially.
 _COFACTOR_MAX_N = 4
 
 
-def _base3(codes: np.ndarray, width: int) -> np.ndarray:
-    """The last `width` base-3 digits, most significant first, of each code,
-    one int8 row each."""
-    digits = np.empty((len(codes), width), dtype=np.int8)
-    for j in range(width - 1, -1, -1):
-        codes, digits[:, j] = np.divmod(codes, 3)
-    return digits
-
-
-def _sign_split(m: int):
-    """The base-3 digits of the codes 0 .. 3^m - 1, most significant first,
-    as the leading digits of each oracle chunk, one int8 row per chunk, and
-    the one table of trailing digits that every chunk shares: L = m - K
-    leading digits (none when m <= K) and 3^(m - L) trailing rows."""
+def _sign_chunks(table: np.ndarray):
+    """The values of the m perturbed entries in each chunk of the 3^m sign
+    patterns; entry e takes table[e, d] for digit d. The L = max(0, m - K)
+    leading entries are floats, one tuple of digits from itertools.product
+    per chunk; trailing entry L + t is its row of table on axis t of an
+    (m - L)-axis grid, shaped (1, ..., 3, ..., 1). The chunks in order, each
+    grid in C order, run through the codes 0 .. 3^m - 1 in order."""
+    m = len(table)
     lead = max(0, m - _ORACLE_DIGITS)
-    return _base3(np.arange(3 ** lead), lead), _base3(np.arange(3 ** (m - lead)), m - lead)
+    heads = table[:lead].tolist()
+    grid = [row.reshape((1,) * t + (3,) + (1,) * (m - lead - 1 - t))
+            for t, row in enumerate(table[lead:])]
+    for digits in itertools.product(range(3), repeat=lead):
+        yield [values[d] for values, d in zip(heads, digits)] + grid
 
 
 def _prescaled(x: np.ndarray) -> np.ndarray:
@@ -233,25 +234,22 @@ def _prescaled(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, 1 - np.frexp(top)[1]) if top > 0.0 else x
 
 
-def _cofactor_det(rows: tuple, cols: tuple, entry: dict, memo: tuple, lead: tuple):
+def _cofactor_det(rows: tuple, cols: tuple, entry: dict, memo: dict):
     """Determinant of the submatrix on the sorted rows and columns by Laplace
     expansion along its first row, with every minor memoised. entry maps each
-    support position (i, j) to its values, a vector or a scalar (the same
-    value in every trial); lead holds the positions of the scalars. A minor
-    whose submatrix holds no scalar goes to memo[0], which a caller may keep
-    while the vectors stay the same, every other minor to memo[1]. A
-    structural zero is skipped, not multiplied, and a structurally singular
-    submatrix is None."""
+    support position (i, j) to its values, a float or an array that
+    broadcasts against the others, so a minor spans only the axes of its own
+    entries. A structural zero is skipped, not multiplied, and a structurally
+    singular submatrix is None."""
     if not rows:
         return 1.0
     key = (rows, cols)
-    store = memo[any(i in rows and j in cols for i, j in lead)]
-    if key not in store:
+    if key not in memo:
         total = None
         for p, c in enumerate(cols):
             a = entry.get((rows[0], c))
             sub = None if a is None else _cofactor_det(rows[1:], cols[:p] + cols[p + 1:],
-                                                       entry, memo, lead)
+                                                       entry, memo)
             if sub is None:
                 continue
             term = a * sub
@@ -259,63 +257,68 @@ def _cofactor_det(rows: tuple, cols: tuple, entry: dict, memo: tuple, lead: tupl
                 total = -term if p % 2 else term
             else:
                 total = total - term if p % 2 else total + term
-        store[key] = total
-    return store[key]
+        memo[key] = total
+    return memo[key]
 
 
-def _cofactor_values(quantity: str, n: int, rows, cols, perturbed, shared=None) -> np.ndarray:
-    """What _lapack_values returns, by cofactors: det is the expansion
-    itself, the inverse adj / det and the solution adj b / det. For "inv" and
-    "solve", a trial whose determinant is exactly zero is NaN.
-
-    A row of perturbed may be a scalar, its value in every trial; the last
-    row is a vector. shared keeps the minors that use no scalar, for the next
-    call with the same vector rows."""
-    width = len(perturbed[-1])
+def _cofactor_outputs(quantity: str, n: int, rows, cols, perturbed):
+    """What _lapack_outputs gives, by cofactors, one output after the other
+    so that each can be reduced before the next is computed: det is the
+    expansion itself, the inverse C_ji / det and the solution
+    sum_i C_ji b_i / det. For "inv" and "solve", a trial whose determinant is
+    exactly zero is NaN, and a quotient may overflow to inf."""
     entry = dict(zip(zip(rows.tolist(), cols.tolist()), perturbed))
-    lead = tuple(pos for pos, values in entry.items() if np.ndim(values) == 0)
-    memo = ({} if shared is None else shared, {})
+    memo: dict = {}
     every = tuple(range(n))
-    det = _cofactor_det(every, every, entry, memo, lead)
-    det = np.full(width, 0.0 if det is None else det)
+    det = _cofactor_det(every, every, entry, memo)
+    det = 0.0 if det is None else det
     if quantity == "det":
-        return det[:, None]
-    adj = np.zeros((n, n, width))
-    for i in range(n):
-        for j in range(n):
-            minor = _cofactor_det(every[:i] + every[i + 1:], every[:j] + every[j + 1:],
-                                  entry, memo, lead)
-            if minor is not None:
-                adj[j, i] = -minor if (i + j) % 2 else minor
+        yield det
+        return
+    # cof[j][i] is the cofactor C_ij, entry (j, i) of the adjugate
+    cof = [[0.0] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        minor = _cofactor_det(every[:i] + every[i + 1:], every[:j] + every[j + 1:], entry, memo)
+        if minor is not None:
+            cof[j][i] = -minor if (i + j) % 2 else minor
     det = np.where(det == 0.0, np.nan, det)
-    with np.errstate(over="ignore"):
+    for row in cof:
         if quantity == "inv":
-            return (adj / det).reshape(n * n, width).T
+            yield from (c / det for c in row)
+            continue
         # one add per i from 0.0, in the order of (adj * b).sum(axis=1)
         x = 0.0
-        for i, b_i in enumerate(perturbed[len(rows):]):
-            x = x + adj[:, i] * b_i
-        return (x / det).T
+        for c, b_i in zip(row, perturbed[len(rows):]):
+            x = x + c * b_i
+        yield x / det
 
 
-def _lapack_values(quantity: str, n: int, rows, cols, perturbed, shared=None) -> np.ndarray:
-    """The quantity on every trial, one row each: det (one column), the
-    row-major inverse (n * n) or the solution (n). Row e of perturbed holds
-    the values of perturbed entry e in every trial, or one scalar for all of
-    them: the support entries in the order of (rows, cols), then b. A trial
-    that LAPACK finds exactly singular is NaN for "inv" and "solve". shared
-    is not used."""
-    perturbed = np.array(np.broadcast_arrays(*perturbed))
-    width = perturbed.shape[1]
-    support = len(rows)
-    stack = np.zeros((width, n * n))
-    stack[:, rows * n + cols] = perturbed[:support].T
-    stack = stack.reshape(width, n, n)
+def _lapack_outputs(quantity: str, n: int, rows, cols, perturbed) -> np.ndarray:
+    """The values of each output over the trials, one row each: det (one),
+    the row-major inverse (n * n) or the solution (n). Entry e of perturbed
+    holds the values of perturbed entry e, the support entries in the order
+    of (rows, cols), then b; the entries broadcast against each other to the
+    trials. A trial that LAPACK finds exactly singular is NaN for "inv" and
+    "solve"."""
+    trials = [v.ravel() for v in np.broadcast_arrays(*perturbed)]
+    stack = np.zeros((len(trials[0]), n * n))
+    for k, v in zip(rows * n + cols, trials):
+        stack[:, k] = v
+    stack = stack.reshape(-1, n, n)
     if quantity == "det":
-        return np.linalg.det(stack)[:, None]
+        return np.linalg.det(stack)[None]
     if quantity == "inv":
-        return _lu_inverse(stack).reshape(width, n * n)
-    return _lu_solve(stack, perturbed[support:].T)
+        return _lu_inverse(stack).reshape(-1, n * n).T
+    return _lu_solve(stack, np.stack(trials[len(rows):], axis=1)).T
+
+
+def _worst_distance(hi: np.ndarray, lo: np.ndarray, ref: np.ndarray, tol) -> np.ndarray:
+    """max |snap(v) - ref| over the trials v of each output, from their
+    largest value hi and smallest value lo, where snap zeroes |v| <= tol.
+    snap(v) and the rounded snap(v) - ref are both non-decreasing in v, so the
+    largest magnitude is at hi or at lo, bit for bit; a NaN trial makes hi
+    and lo NaN, and so the distance."""
+    return np.maximum(*(np.abs(np.where(np.abs(v) <= tol, 0.0, v) - ref) for v in (hi, lo)))
 
 
 def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 0,
@@ -328,12 +331,13 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     -delta*|a|, 0 or +delta*|a|. All 3^m sign patterns are enumerated when the
     perturbed entry count m is at most exhaustive_limit; beyond that,
     random_trials random full-magnitude sign patterns are sampled, which makes
-    the result a lower estimate of the true supremum. Trials run in chunks of
-    3^8, so memory does not grow with 3^m: an exhaustive chunk holds its
-    leading m - 8 perturbed entries as scalars, all chunks share one table of
-    the trailing entries' values, and the minors that do not involve a
-    leading entry are computed once per call. The all-zero sign pattern is
-    evaluated like any other trial and adds a distance of 0.
+    the result a lower estimate of the true supremum.
+
+    Trials run in chunks (_sign_chunks; a random chunk holds 3^8 rows), so
+    memory does not grow with 3^m. Each output is reduced to its largest and
+    smallest value as soon as it is computed, and the distance is taken once
+    from the extremes over all chunks (_worst_distance): no bit depends on
+    the chunking. The all-zero sign pattern is a trial at a distance of 0.
 
     A and b are first scaled, each by a power of two, so that their largest
     entry lies in [1, 2); the result does not depend on their scale. Up to
@@ -370,15 +374,13 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     a = _prescaled(a)
     if not _batched_inverse(a[None])[1][0]:
         return singular
-    if isinstance(A, PatternedMatrix):
-        rows, cols = A.pattern.index_arrays
-    else:
-        rows, cols = np.divmod(np.arange(n * n), n)
+    rows, cols = (A.pattern.index_arrays if isinstance(A, PatternedMatrix)
+                  else np.divmod(np.arange(n * n), n))
     entries = a[rows, cols]
     if rhs is not None:
         entries = np.concatenate([entries, _prescaled(rhs)])
     m = len(entries)
-    values = _cofactor_values if n <= _COFACTOR_MAX_N else _lapack_values
+    outputs = _cofactor_outputs if n <= _COFACTOR_MAX_N else _lapack_outputs
 
     # levels[d] is the factor 1 + delta * sign for digit d, and row e of
     # `table` holds the three values perturbed entry e can take; the
@@ -386,37 +388,33 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     # reference and the trials round the same way
     levels = 1.0 + delta * np.array([-1.0, 0.0, 1.0])
     table = entries[:, None] * levels
-    ref = values(quantity, n, rows, cols, table[:, 1:2])[0]
+    with np.errstate(over="ignore"):
+        ref = np.array([np.max(v) for v in outputs(quantity, n, rows, cols, table[:, 1:2])])
     if not np.isfinite(ref).all() or (quantity == "det" and ref[0] == 0.0):
         return singular
     tol = 0.0 if quantity == "det" else ZERO_SNAP * np.abs(ref).max()
     ref_s = np.where(np.abs(ref) > tol, ref, 0.0)
 
-    # an exhaustive chunk holds its L leading entries as scalars, and every
-    # chunk shares the vectors of the trailing ones, so the minors without a
-    # leading entry are computed once per call; random chunks share nothing
     if m <= exhaustive_limit:
-        heads, tail = _sign_split(m)
-        lead = heads.shape[1]
-        trail = list(table[np.arange(lead, m)[:, None], tail.T])
-        minors: dict = {}
-        chunks = ((table[np.arange(lead), head].tolist() + trail, minors) for head in heads)
+        chunks = _sign_chunks(table)
     else:
+        # drawn chunk by chunk: the generator's stream is the same as in
+        # one (random_trials, m) draw
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-        draws = rng.integers(0, 2, size=(random_trials, m)) * 2
-        size = 3 ** _ORACLE_DIGITS
-        chunks = ((table[np.arange(m)[:, None], draws[start:start + size].T], {})
+        size = 3 ** min(_ORACLE_DIGITS, 8)
+        chunks = (table[np.arange(m)[:, None],
+                        rng.integers(0, 2, size=(min(size, random_trials - start), m)).T * 2]
                   for start in range(0, random_trials, size))
-    worst = 0.0
-    for perturbed, shared in chunks:
-        pert = values(quantity, n, rows, cols, perturbed, shared)
-        # NaN (a singular trial) is kept, so the ratio makes it +inf; the
-        # all-zero sign pattern is a trial too, at a distance of exactly 0
-        pert_s = np.where(np.abs(pert) <= tol, 0.0, pert)
-        worst = np.maximum(worst, np.abs(pert_s - ref_s).max(axis=0))
+    hi, lo = -np.inf, np.inf
+    with np.errstate(over="ignore"):
+        for perturbed in chunks:
+            # each output is reduced to its extremes as soon as it is computed
+            top, bottom = zip(*((np.max(v), np.min(v))
+                                for v in outputs(quantity, n, rows, cols, perturbed)))
+            hi, lo = np.maximum(hi, top), np.minimum(lo, bottom)
     # the largest distance over the trials, divided once: division by |ref|
     # is monotone, so this is the largest ratio
-    dist = componentwise_ratio(worst, ref_s) / delta
+    dist = componentwise_ratio(_worst_distance(hi, lo, ref_s, tol), ref_s) / delta
     return float(dist[0]) if quantity == "det" else dist.reshape(shape)
 
 

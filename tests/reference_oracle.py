@@ -3,10 +3,11 @@ reference for the bits of sparsecond's oracle_condition.
 
 Each chunk of sign codes is gathered into a full (m, width) block of
 perturbed values and evaluated from scratch, with a fresh memo of minors,
-and the all-zero sign pattern is left out. oracle_condition holds leading
-entries as scalars and shares minors between chunks instead; it must return
-the same bytes. The arguments are taken as valid: the checks that raise
-ValueError are oracle_condition's own.
+every output is compared with the reference on every trial, and the
+all-zero sign pattern is left out. oracle_condition holds leading entries as
+scalars, puts the others on the axes of a sign grid and keeps only each
+output's extremes instead; it must return the same bytes. The arguments are
+taken as valid: the checks that raise ValueError are oracle_condition's own.
 """
 
 from __future__ import annotations
@@ -16,10 +17,19 @@ import math
 import numpy as np
 
 from sparsecond import conditioning
-from sparsecond.conditioning import ZERO_SNAP, _base3, _prescaled, componentwise_ratio
+from sparsecond.conditioning import ZERO_SNAP, _prescaled, componentwise_ratio
 from sparsecond.linalg import PatternedMatrix, _batched_inverse, _lu_inverse, _lu_solve
 
 CHUNK = 3 ** 8
+
+
+def _base3(codes: np.ndarray, width: int) -> np.ndarray:
+    """The last `width` base-3 digits, most significant first, of each code,
+    one int8 row each."""
+    digits = np.empty((len(codes), width), dtype=np.int8)
+    for j in range(width - 1, -1, -1):
+        codes, digits[:, j] = np.divmod(codes, 3)
+    return digits
 
 
 def sign_digits(m: int, start: int, stop: int) -> np.ndarray:

@@ -516,7 +516,7 @@ class TestOracleChunks:
     def test_chunk_size_invariance(self, case, monkeypatch):
         quantity, a, b, kwargs = self.CASES[case]
         expected = np.asarray(oracle_condition(quantity, a, b, **kwargs))
-        for digits in (1, 2, 9):
+        for digits in (1, 2, 8, 9):
             monkeypatch.setattr(conditioning, "_ORACLE_DIGITS", digits)
             got = np.asarray(oracle_condition(quantity, a, b, **kwargs))
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
@@ -538,6 +538,25 @@ class TestOracleChunks:
             tracemalloc.stop()
         assert np.isfinite(got).all()
         assert peak <= 32e6
+        # each output is reduced as it is computed, on a grid of at most
+        # 3^9 trials; keeping each chunk's outputs whole takes 2.59 MB
+        assert peak <= 1e6
+
+    def test_random_trials_on_the_lapack_path_stay_small(self):
+        rng = np.random.default_rng(0)
+        a = PatternedMatrix.dense(rng.uniform(-1.0, 1.0, (5, 5)) + 3.0 * np.eye(5))
+        b = np.linspace(1.0, 2.0, 5)
+        oracle_condition("solve", a, b)  # m = 30: 10000 random trials
+        tracemalloc.start()
+        try:
+            got = oracle_condition("solve", a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(got).all()
+        # 7.13 MB is the peak of drawing all trials at once and comparing
+        # every chunk's solutions with the reference in full
+        assert peak <= 7.13e6
 
     def test_singular_reference_is_inf(self):
         # LAPACK inverts the non-finite matrix to a finite one without raising
@@ -560,15 +579,22 @@ class TestOracleChunks:
 
     @pytest.mark.parametrize("m", [9, 10, 11])
     def test_power_of_three_chunks_are_the_sign_digits(self, m, monkeypatch):
-        # every code once and in order, the all-zero sign pattern included
+        # every code once and in order, the all-zero sign pattern included:
+        # the leading digits of the chunks in order, each chunk's grid in C order
         expected = np.insert(sign_digits(m, 0, 3 ** m), (3 ** m - 1) // 2, 1, axis=0)
-        for digits in (8, 5):
+        digit_table = np.tile(np.arange(3.0), (m, 1))
+        for digits in (9, 8, 5):
             monkeypatch.setattr(conditioning, "_ORACLE_DIGITS", digits)
-            heads, tail = conditioning._sign_split(m)
-            assert len(tail) <= 3 ** digits
-            got = np.concatenate([np.hstack([np.broadcast_to(head, (len(tail), len(head))), tail])
-                                  for head in heads])
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            lead, axes = max(0, m - digits), min(m, digits)
+            got = []
+            for values in conditioning._sign_chunks(digit_table):
+                assert all(isinstance(v, float) for v in values[:lead])
+                assert [v.shape for v in values[lead:]] == [
+                    tuple(3 if axis == t else 1 for axis in range(axes)) for t in range(axes)]
+                got.append(np.stack([v.ravel() for v in np.broadcast_arrays(*values)], axis=1))
+            assert len(got) == 3 ** lead
+            got = np.concatenate(got).astype(np.int8)
+            assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("quantity, a, b", [
         ("solve", PatternedMatrix.dense([[3.0, 1.0, -0.5], [0.5, 2.5, 1.0], [-1.0, 0.5, 4.0]]),
@@ -583,6 +609,50 @@ class TestOracleChunks:
         monkeypatch.setattr(conditioning, "_ORACLE_DIGITS", 12)  # one chunk, no scalars
         got = np.asarray(oracle_condition(quantity, a, b))
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+# Values at the edges of the extremes rule: zeros of both signs, subnormals,
+# the smallest normal, infinities and NaN (a singular trial)
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 2.2250738585072014e-308,
+                -2.2250738585072014e-308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _trials_and_reference(draw):
+    """A tolerance (0.0, as for "det", included), the reference of one
+    output and its trials, some of them exactly at +-tol, split into chunks."""
+    tol = draw(st.sampled_from([0.0, 5e-324, 1e-320, 1e-10])
+               | st.floats(0.0, 1e3, allow_subnormal=True))
+    value = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+             | st.sampled_from(_EDGE_VALUES + [tol, -tol, math.nextafter(tol, math.inf),
+                                               -math.nextafter(tol, math.inf)]))
+    ref = draw(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+               | st.sampled_from([0.0, -0.0, tol, -tol, 5e-324]))
+    trials = draw(st.lists(value, min_size=1, max_size=24))
+    cuts = sorted(draw(st.lists(st.integers(1, len(trials)), max_size=3)))
+    return tol, ref, np.split(np.array(trials), cuts)
+
+
+class TestExtremesRule:
+    """The oracle keeps each output's largest and smallest trial value, and
+    max |snap(v) - ref| over the trials comes from those two alone."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_trials_and_reference())
+    def test_extremes_give_the_explicit_largest_distance(self, case):
+        tol, ref, chunks = case
+        hi, lo = -np.inf, np.inf
+        for chunk in chunks:
+            if chunk.size:
+                hi, lo = np.maximum(hi, np.max(chunk)), np.minimum(lo, np.min(chunk))
+        trials = np.concatenate(chunks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = conditioning._worst_distance(np.array([hi]), np.array([lo]), ref, tol)[0]
+            explicit = np.abs(np.where(np.abs(trials) <= tol, 0.0, trials) - ref).max()
+        if np.isnan(explicit):
+            assert np.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(explicit).tobytes()
 
 
 def _oracle_system(seed, quantity, most):
@@ -616,7 +686,7 @@ class TestOracleAgainstTheWholeTable:
     fresh memo and leaves the all-zero sign pattern out (reference_oracle)."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from([1, 5, 8]), st.sampled_from(["det", "inv", "solve"]), _SEEDS)
+    @given(st.sampled_from([1, 5, 8, 12]), st.sampled_from(["det", "inv", "solve"]), _SEEDS)
     def test_same_bytes_on_random_patterns(self, digits, quantity, seed):
         # one sign digit per chunk means 3^(m - 1) chunks: keep m small there
         a, b = _oracle_system(seed, quantity, 6 if digits == 1 else 10)
@@ -643,7 +713,11 @@ class TestOracleAgainstTheWholeTable:
          {"exhaustive_limit": 6, "random_trials": 40}),
         # a trial with an exactly singular matrix
         ("solve", PatternedMatrix.dense([[1.0, 1.0], [1.0, 1.0 + 1e-6]]), [1.0, 2.0], 1, {}),
-    ], ids=["solve-m12", "inv-m11", "random", "lapack-inv", "lapack-solve", "singular-trial"])
+        # one grid of 3^12 trials, no scalars
+        ("solve", DENSE3, [1.0, -2.0, 0.5], 12, {}),
+        ("inv", TRI5, None, 12, {}),
+    ], ids=["solve-m12", "inv-m11", "random", "lapack-inv", "lapack-solve", "singular-trial",
+            "solve-m12-one-grid", "lapack-inv-one-grid"])
     def test_same_bytes_on_fixed_cases(self, quantity, a, b, digits, kwargs):
         _assert_whole_table_bits(quantity, a, b, digits, **kwargs)
 
@@ -710,13 +784,16 @@ class TestCofactorOracle:
         n = len(mask)
         a = _well_conditioned_on(pattern_from_mask(mask), np.random.default_rng(n))
         rows, cols = a.pattern.index_arrays
-        m = len(rows)
-        digits = sign_digits(m, 0, min(3 ** m, 5000))
-        levels = 1.0 + 1e-6 * np.array([-1.0, 0.0, 1.0])
-        perturbed = (a.entries[rows, cols][:, None] * levels)[np.arange(m)[:, None], digits.T]
-        # every trial, not only the snapped oracle output, is exactly zero
-        trials = conditioning._cofactor_values("inv", n, rows, cols, perturbed)
-        assert np.all(trials[:, ~mask.ravel()] == 0.0) and np.all(trials[:, mask.ravel()] != 0.0)
+        table = a.entries[rows, cols][:, None] * (1.0 + 1e-6 * np.array([-1.0, 0.0, 1.0]))
+        zero = ~mask.ravel()
+        # every trial, not only the snapped oracle output, is exactly zero:
+        # the largest and the smallest value over each chunk's grid are; the
+        # others keep one sign in every trial
+        for perturbed in conditioning._sign_chunks(table):
+            trials = list(conditioning._cofactor_outputs("inv", n, rows, cols, perturbed))
+            hi, lo = np.array([np.max(v) for v in trials]), np.array([np.min(v) for v in trials])
+            assert np.all(hi[zero] == 0.0) and np.all(lo[zero] == 0.0)
+            assert np.all((lo[~zero] > 0.0) | (hi[~zero] < 0.0))
         got = oracle_condition("inv", a, random_trials=500)
         assert np.all(got[~mask] == 0.0) and np.all(got[mask] > 0.0)
 
