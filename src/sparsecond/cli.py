@@ -59,26 +59,25 @@ def parse_spec_file(path, allowed: set) -> dict:
     return spec
 
 
-def _spec_float(spec, key, default=None) -> float:
+def _spec_number(spec, key, kind=float, default=None):
+    """spec[key] as a float or an int (kind), or default when it is absent."""
     if key not in spec:
         if default is None:
             raise SpecError(f"missing required key {key!r}")
         return default
     try:
-        return float(spec[key])
+        return kind(spec[key])
     except ValueError as exc:
-        raise SpecError(f"key {key!r}: not a number: {spec[key]!r}") from exc
+        what = "a number" if kind is float else "an integer"
+        raise SpecError(f"key {key!r}: not {what}: {spec[key]!r}") from exc
 
 
-def _spec_int(spec, key, default=None) -> int:
-    if key not in spec:
-        if default is None:
-            raise SpecError(f"missing required key {key!r}")
-        return default
+def _read_file(reader, path, what: str = ""):
+    """reader(path); SpecError, its message prefixed with what, when it fails."""
     try:
-        return int(spec[key])
-    except ValueError as exc:
-        raise SpecError(f"key {key!r}: not an integer: {spec[key]!r}") from exc
+        return reader(path)
+    except (OSError, ValueError) as exc:
+        raise SpecError(f"{what}{exc}") from exc
 
 
 def _spec_thresholds(spec) -> list:
@@ -93,17 +92,14 @@ def _spec_thresholds(spec) -> list:
 def _resolve_pattern(spec) -> SparsityPattern:
     kind = spec.get("pattern", "full")
     if kind.startswith("file:"):
-        try:
-            pattern = read_pattern_file(kind[5:])
-        except (OSError, ValueError) as exc:
-            raise SpecError(f"pattern file: {exc}") from exc
-        if "n" in spec and _spec_int(spec, "n") != pattern.n:
+        pattern = _read_file(read_pattern_file, kind[5:], "pattern file: ")
+        if "n" in spec and _spec_number(spec, "n", int) != pattern.n:
             raise SpecError(f"spec n={spec['n']} does not match pattern file n={pattern.n}")
         return pattern
     if kind not in NAMED_PATTERNS:
         raise SpecError(f"unknown pattern {kind!r}; use "
                         f"{'|'.join(NAMED_PATTERNS)} or file:<path>")
-    n = _spec_int(spec, "n")
+    n = _spec_number(spec, "n", int)
     if n < 1:
         raise SpecError(f"n must be positive, got {n}")
     return NAMED_PATTERNS[kind](n)
@@ -117,10 +113,7 @@ def _resolve_center(spec, pattern: SparsityPattern) -> PatternedMatrix:
     if kind == "identity":
         return PatternedMatrix.identity(n, pattern)
     if kind.startswith("file:"):
-        try:
-            entries = read_matrix_file(kind[5:])
-        except (OSError, ValueError) as exc:
-            raise SpecError(f"center file: {exc}") from exc
+        entries = _read_file(read_matrix_file, kind[5:], "center file: ")
         if entries.shape != (n, n):
             raise SpecError(f"center file dimension {entries.shape[0]} != pattern n={n}")
         try:
@@ -139,10 +132,7 @@ def _resolve_center_rhs(spec, n: int, required: bool):
     if kind == "ones":
         return np.ones(n)
     if kind.startswith("file:"):
-        try:
-            rhs = read_vector_file(kind[5:])
-        except (OSError, ValueError) as exc:
-            raise SpecError(f"center_rhs file: {exc}") from exc
+        rhs = _read_file(read_vector_file, kind[5:], "center_rhs file: ")
         if len(rhs) != n:
             raise SpecError(f"center_rhs length {len(rhs)} != n={n}")
         return rhs
@@ -152,7 +142,7 @@ def _resolve_center_rhs(spec, n: int, required: bool):
 def _build_model(spec, need_rhs: bool) -> smoothed.GaussianModel:
     pattern = _resolve_pattern(spec)
     center = _resolve_center(spec, pattern)
-    sigma = _spec_float(spec, "sigma")
+    sigma = _spec_number(spec, "sigma")
     rhs = _resolve_center_rhs(spec, pattern.n, required=need_rhs)
     try:
         return smoothed.GaussianModel(pattern=pattern, center=center, sigma=sigma,
@@ -165,7 +155,7 @@ def _resolve_seed(spec, args) -> int:
     if args.seed is not None:
         seed = args.seed
     elif "seed" in spec:
-        seed = _spec_int(spec, "seed")
+        seed = _spec_number(spec, "seed", int)
     else:
         raise SpecError("stochastic command needs a seed (spec key or --seed)")
     if seed < 0:
@@ -183,15 +173,9 @@ def _write_out(args, text: str) -> None:
 # subcommands
 
 def cmd_cond(args) -> int:
-    try:
-        entries = read_matrix_file(args.matrix)
-    except (OSError, ValueError) as exc:
-        raise SpecError(str(exc)) from exc
+    entries = _read_file(read_matrix_file, args.matrix)
     if args.pattern:
-        try:
-            pattern = read_pattern_file(args.pattern)
-        except (OSError, ValueError) as exc:
-            raise SpecError(str(exc)) from exc
+        pattern = _read_file(read_pattern_file, args.pattern)
         if pattern.n != entries.shape[0]:
             print(f"error: pattern n={pattern.n} does not match matrix n={entries.shape[0]}",
                   file=sys.stderr)
@@ -200,10 +184,7 @@ def cmd_cond(args) -> int:
         pattern = None
     rhs = None
     if args.rhs:
-        try:
-            rhs = read_vector_file(args.rhs)
-        except (OSError, ValueError) as exc:
-            raise SpecError(str(exc)) from exc
+        rhs = _read_file(read_vector_file, args.rhs)
         if len(rhs) != entries.shape[0]:
             print(f"error: rhs length {len(rhs)} does not match matrix n={entries.shape[0]}",
                   file=sys.stderr)
@@ -227,7 +208,7 @@ def cmd_tail(args) -> int:
     model = _build_model(spec, need_rhs=(quantity == "solve"))
     estimate = smoothed.estimate_tail(
         model, quantity, _spec_thresholds(spec),
-        _spec_int(spec, "samples"), _resolve_seed(spec, args), workers=args.workers)
+        _spec_number(spec, "samples", int), _resolve_seed(spec, args), workers=args.workers)
     sys.stdout.write(estimate.to_report_text())
     _write_out(args, estimate.to_csv_text())
     return 3 if "FAIL" in estimate.verdicts() else 0
@@ -238,8 +219,8 @@ def cmd_logexp(args) -> int:
     quantity = spec.get("quantity", "det")
     model = _build_model(spec, need_rhs=(quantity == "solve"))
     estimate = smoothed.estimate_logexp(
-        model, quantity, _spec_float(spec, "beta", math.e),
-        _spec_int(spec, "samples"), _resolve_seed(spec, args), workers=args.workers)
+        model, quantity, _spec_number(spec, "beta", default=math.e),
+        _spec_number(spec, "samples", int), _resolve_seed(spec, args), workers=args.workers)
     sys.stdout.write(estimate.to_report_text())
     _write_out(args, estimate.to_csv_text())
     return 3 if estimate.verdict() == "FAIL" else 0
@@ -248,8 +229,8 @@ def cmd_logexp(args) -> int:
 def cmd_prop4(args) -> int:
     spec = parse_spec_file(args.spec, _STOCHASTIC_KEYS["prop4"])
     estimate = smoothed.verify_ratio_tail(
-        _spec_float(spec, "mu"), _spec_float(spec, "sigma"),
-        _spec_thresholds(spec), _spec_int(spec, "samples"),
+        _spec_number(spec, "mu"), _spec_number(spec, "sigma"),
+        _spec_thresholds(spec), _spec_number(spec, "samples", int),
         _resolve_seed(spec, args), workers=args.workers)
     sys.stdout.write(estimate.to_report_text())
     _write_out(args, estimate.to_csv_text())
@@ -262,11 +243,11 @@ def cmd_accuracy(args) -> int:
     spec.setdefault("center_rhs", "zero")
     model = _build_model(spec, need_rhs=True)
     try:
-        cfg = fplab.PrecisionConfig(_spec_int(spec, "precision_bits"))
+        cfg = fplab.PrecisionConfig(_spec_number(spec, "precision_bits", int))
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
     summary = fplab.run_accuracy_experiment(
-        model, cfg, _spec_int(spec, "samples"), _resolve_seed(spec, args),
+        model, cfg, _spec_number(spec, "samples", int), _resolve_seed(spec, args),
         workers=args.workers)
     sys.stdout.write(summary.to_report_text())
     _write_out(args, summary.to_csv_text())

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (PatternedMatrix, _batched_inverse, _lu_inverse, _lu_solve, _members,
+from .linalg import (Factorization, PatternedMatrix, _factor, _lu_inverse, _lu_solve, _members,
                      as_array, as_rhs, format17)
+from .patterns import SparsityPattern
 
 # Entries of computed inverses (and solutions) this far below the largest
 # entry are treated as exact zeros when deciding the 0 / inf output
@@ -116,9 +117,10 @@ def bound_inverse_entry(A: PatternedMatrix, k: int, l: int) -> float:
     return _entry(bound_inverse_entries(A), k, l)
 
 
-def _cramer_sums(A: PatternedMatrix, g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sums[k, c] = sum of |a_ij| |g_ji - u_jc g_ki / u_kc| over the support
-    of A with j != k, where g = A^-1; +inf where u_kc == 0 or the sum is not
+def _cramer_sums(pattern: SparsityPattern, a: np.ndarray, g: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """sums[k, c] = sum of |a_ij| |g_ji - u_jc g_ki / u_kc| over the pattern
+    with j != k, where g = a^-1; +inf where u_kc == 0 or the sum is not
     finite.
 
     With u = g this is cond_det of the minor that deletes row c and column k;
@@ -126,14 +128,14 @@ def _cramer_sums(A: PatternedMatrix, g: np.ndarray, u: np.ndarray) -> np.ndarray
     b that the other columns give. Rows loop over k and are vectorised over
     (c, support).
     """
-    rows, cols = A.pattern.index_arrays
-    mags = np.abs(A.entries[rows, cols])
-    out = np.empty((A.n, u.shape[1]))
+    rows, cols = pattern.index_arrays
+    mags = np.abs(a[rows, cols])
+    out = np.empty((pattern.n, u.shape[1]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(A.n):
+        for k in range(pattern.n):
             keep = cols != k
             i, j = rows[keep], cols[keep]
-            # dividing before multiplying keeps a scaled A from overflowing
+            # dividing before multiplying keeps the product from overflowing
             # or underflowing where the sum does not
             h = g[j, i] - u.T[:, j] * (g[k, i] / u[k][:, None])
             sums = (mags[keep] * np.abs(h)).sum(axis=1)
@@ -151,14 +153,14 @@ def bound_inverse_entries(A: PatternedMatrix) -> np.ndarray:
     det(minor) = +-det(A) g_kl). On the deleted row l the term is exactly 0
     (g_kl / g_kl == 1). A singular A gives +inf everywhere.
     """
-    return _bound_inverse(A, *_batched_inverse(A.entries[None]))
+    return _bound_inverse(A.pattern, _factor(A.entries[None]))
 
 
-def _bound_inverse(A: PatternedMatrix, g: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """bound_inverse_entries from the batched inverse (g, ok) of A's stack of one."""
-    if not ok[0]:
-        return np.full((A.n, A.n), np.inf)
-    return _det_sums(A.entries[None], g, ok)[0] + _cramer_sums(A, g[0], g[0])
+def _bound_inverse(pattern: SparsityPattern, f: Factorization) -> np.ndarray:
+    """bound_inverse_entries from the factorization f of a stack of one."""
+    if not f.ok[0]:
+        return np.full((pattern.n, pattern.n), np.inf)
+    return _det_sums(f)[0] + _cramer_sums(pattern, f.a[0], f.g[0], f.g[0])
 
 
 def bound_solve_entry(A: PatternedMatrix, b, k: int) -> float:
@@ -174,20 +176,19 @@ def bound_solve_entries(A: PatternedMatrix, b) -> np.ndarray:
     matrix has the inverse G - (x - e_k) g_k^T / x_k, whose row k is
     g_k^T / x_k, and the determinant det(A) x_k. Its cond_det is the sum of
     _cramer_sums with u = x and sum_i |b_i| |g_ki| / |x_k|; it is singular
-    exactly when x_k == 0. A singular A or a non-finite x gives +inf
-    everywhere.
+    exactly when x_k == 0. An unsolved system gives +inf everywhere.
     """
-    return _bound_solve(A, as_rhs(b, A.n), *_batched_inverse(A.entries[None]))
+    return _bound_solve(A.pattern, _factor(A.entries[None], as_rhs(b, A.n)[None]))
 
 
-def _bound_solve(A: PatternedMatrix, rhs: np.ndarray, g: np.ndarray, ok: np.ndarray):
-    """bound_solve_entries from the batched inverse (g, ok) of A's stack of one."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = g[0] @ rhs
-        if not (ok[0] and np.isfinite(x).all()):
-            return np.full(A.n, np.inf)
-        column_b = np.abs(g[0]) @ np.abs(rhs)
-    return (_det_sums(A.entries[None], g, ok)[0] + _cramer_sums(A, g[0], x[:, None])[:, 0]
+def _bound_solve(pattern: SparsityPattern, f: Factorization) -> np.ndarray:
+    """bound_solve_entries from the factorization f of a system of one."""
+    if not f.solved[0]:
+        return np.full(pattern.n, np.inf)
+    g, x = f.g[0], f.x[0]
+    with np.errstate(over="ignore"):
+        column_b = np.abs(g) @ np.abs(f.b[0])
+    return (_det_sums(f)[0] + _cramer_sums(pattern, f.a[0], g, x[:, None])[:, 0]
             + componentwise_ratio(column_b, x))
 
 
@@ -223,15 +224,6 @@ def _sign_chunks(table: np.ndarray):
             for t, row in enumerate(table[lead:])]
     for digits in itertools.product(range(3), repeat=lead):
         yield [values[d] for values, d in zip(heads, digits)] + grid
-
-
-def _prescaled(x: np.ndarray) -> np.ndarray:
-    """Finite x times the power of two that puts its largest magnitude in
-    [1, 2). The scaling is exact unless it takes an entry into the subnormal
-    range, so relative distances do not move, and the closed forms of a
-    small matrix neither overflow nor underflow."""
-    top = np.abs(x).max(initial=0.0)
-    return np.ldexp(x, 1 - np.frexp(top)[1]) if top > 0.0 else x
 
 
 def _cofactor_det(rows: tuple, cols: tuple, entry: dict, memo: dict):
@@ -339,13 +331,14 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     from the extremes over all chunks (_worst_distance): no bit depends on
     the chunking. The all-zero sign pattern is a trial at a distance of 0.
 
-    A and b are first scaled, each by a power of two, so that their largest
-    entry lies in [1, 2); the result does not depend on their scale. Up to
-    n = 4 every trial is evaluated by cofactors, where an exactly zero
+    A and b are first scaled by linalg._factor, each by a power of two that
+    puts its largest entry in [1, 2); the result does not depend on their
+    scale, and the closed forms neither overflow nor underflow. Up to n = 4
+    every trial is evaluated by cofactors, where an exactly zero
     determinant makes a trial singular; larger n use LAPACK, where an exactly
-    zero pivot does. A singular trial counts as an infinite distance. A
-    singular (under the rule of linalg._batched_inverse) or non-finite A
-    gives +inf (an all-+inf array for "inv" and "solve").
+    zero pivot does. A singular trial counts as an infinite distance. An A
+    that is singular, or a system that is unsolved, under the rule of
+    linalg._factor gives +inf (an all-+inf array for "inv" and "solve").
 
     Returns a scalar for "det", an (n, n) array for "inv", an (n,) array for
     "solve"; like the closed forms, 0.0 or an empty array for a 0 x 0 A.
@@ -369,16 +362,14 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     if n == 0:
         return 0.0 if quantity == "det" else np.zeros(shape)
     singular = math.inf if quantity == "det" else np.full(shape, np.inf)
-    if not (np.isfinite(a).all() and (rhs is None or np.isfinite(rhs).all())):
-        return singular
-    a = _prescaled(a)
-    if not _batched_inverse(a[None])[1][0]:
+    f = _factor(a[None], None if rhs is None else rhs[None])
+    if not (f.ok if rhs is None else f.solved)[0]:
         return singular
     rows, cols = (A.pattern.index_arrays if isinstance(A, PatternedMatrix)
                   else np.divmod(np.arange(n * n), n))
-    entries = a[rows, cols]
+    entries = f.a[0][rows, cols]
     if rhs is not None:
-        entries = np.concatenate([entries, _prescaled(rhs)])
+        entries = np.concatenate([entries, f.b[0]])
     m = len(entries)
     outputs = _cofactor_outputs if n <= _COFACTOR_MAX_N else _lapack_outputs
 
@@ -420,7 +411,7 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
 
 # ---------------------------------------------------------------------------
 # batched kernels: the only implementation; the scalar functions above run
-# them on a batch of one, and all of them invert through linalg._batched_inverse
+# them on a batch of one, and every tile is factorized once by linalg._factor
 
 # Bytes of one (tile, n, n) float array of a kernel, about 290 members at
 # n = 30: the inverse, magnitudes and masks of one tile stay in a core's L2
@@ -450,24 +441,24 @@ def _tiled(kernel):
     return run
 
 
-# The formulas below are functions of a stack, its batched inverse g and the
-# mask ok of members that have one, so that condition_report inverts once;
-# the kernels' formulas may overwrite g.
+# The formulas below are functions of the prescaled factorization f of a
+# stack (the condition numbers are homogeneous of degree 0), so that
+# condition_report factorizes once. They may overwrite f.g and f.x.
 
-def _det_sums(stack: np.ndarray, g: np.ndarray, ok: np.ndarray) -> np.ndarray:
+def _det_sums(f: Factorization) -> np.ndarray:
     """cond_det of the members of a stack; inf where singular."""
-    vals = np.full(stack.shape[0], np.inf)
-    if ok.any():
-        sub = np.abs(_members(stack, ok) * np.swapaxes(_members(g, ok), -1, -2)).sum(axis=(-1, -2))
-        sub[~np.isfinite(sub)] = np.inf
-        vals[ok] = sub
+    vals = np.full(len(f.ok), np.inf)
+    if f.ok.any():
+        with np.errstate(over="ignore"):
+            vals[f.ok] = np.abs(_members(f.a, f.ok) * np.swapaxes(_members(f.g, f.ok), -1, -2)
+                                ).sum(axis=(-1, -2))
     return vals
 
 
 @_tiled
 def batch_cond_det(stack: np.ndarray) -> np.ndarray:
     """cond_det of every matrix in a (M, n, n) stack; inf where singular."""
-    return _det_sums(stack, *_batched_inverse(stack))
+    return _det_sums(_factor(stack))
 
 
 def _snap_batch(values: np.ndarray, axes) -> np.ndarray:
@@ -480,15 +471,16 @@ def _snap_batch(values: np.ndarray, axes) -> np.ndarray:
     return mags
 
 
-def _inverse_entries(stack: np.ndarray, g: np.ndarray, ok: np.ndarray) -> np.ndarray:
+def _inverse_entries(f: Factorization) -> np.ndarray:
     """Entrywise inversion condition numbers; rows of singular members are
     all +inf."""
-    gs = _snap_batch(_members(g, ok), (-1, -2))
-    ratios = componentwise_ratio(gs @ np.abs(_members(stack, ok)) @ gs, gs)
-    if ok.all():
+    gs = _snap_batch(_members(f.g, f.ok), (-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = componentwise_ratio(gs @ np.abs(_members(f.a, f.ok)) @ gs, gs)
+    if f.ok.all():
         return ratios
-    vals = np.full(stack.shape, np.inf)
-    vals[ok] = ratios
+    vals = np.full(f.a.shape, np.inf)
+    vals[f.ok] = ratios
     return vals
 
 
@@ -498,40 +490,31 @@ def batch_cond_inverse_entries(stack: np.ndarray) -> np.ndarray:
 
     Rows of singular matrices are all +inf.
     """
-    return _inverse_entries(stack, *_batched_inverse(stack))
+    return _inverse_entries(_factor(stack))
 
 
 @_tiled
 def batch_cond_inverse(stack: np.ndarray) -> np.ndarray:
     """cond_inverse of every matrix in a stack; inf where singular."""
-    return _inverse_entries(stack, *_batched_inverse(stack)).max(axis=(-1, -2), initial=0.0)
+    return _inverse_entries(_factor(stack)).max(axis=(-1, -2), initial=0.0)
 
 
 @_tiled
 def batch_cond_solve_entries(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Componentwise solve condition numbers for (M, n, n) and (M, n) stacks."""
-    return _solve_entries(stack, rhs, *_batched_inverse(stack))
+    """Componentwise solve condition numbers for (M, n, n) and (M, n) stacks;
+    inf where the system is unsolved."""
+    return _solve_entries(_factor(stack, rhs))
 
 
-def _solve_entries(stack: np.ndarray, rhs: np.ndarray, g: np.ndarray, ok: np.ndarray):
-    """Componentwise solve condition numbers; inf where singular."""
-    ok = ok & np.isfinite(rhs).all(axis=-1)
-    vals = np.full(rhs.shape, np.inf)
-    if not ok.any():
-        return vals
-    g, a, b = _members(g, ok), _members(stack, ok), _members(rhs, ok)
-    # solutions that overflow (or meet inf - inf) are treated like singular draws
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = (g @ b[..., None])[..., 0]
-    solved = np.isfinite(x).all(axis=-1)
-    if not solved.all():
-        ok[ok] = solved
-        g, a, b, x = g[solved], a[solved], b[solved], x[solved]
-    if ok.any():
-        gs = _snap_batch(g, (-1, -2))
-        xs = _snap_batch(x, (-1,))
-        num = gs @ (np.abs(a) @ xs[..., None]) + gs @ np.abs(b)[..., None]
-        vals[ok] = componentwise_ratio(num[..., 0], xs)
+def _solve_entries(f: Factorization) -> np.ndarray:
+    """Componentwise solve condition numbers; inf where unsolved."""
+    vals = np.full(f.b.shape, np.inf)
+    if f.solved.any():
+        g, x, a, b = (_members(v, f.solved) for v in (f.g, f.x, f.a, f.b))
+        gs, xs = _snap_batch(g, (-1, -2)), _snap_batch(x, (-1,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = gs @ (np.abs(a) @ xs[..., None]) + gs @ np.abs(b)[..., None]
+            vals[f.solved] = componentwise_ratio(num[..., 0], xs)
     return vals
 
 
@@ -645,24 +628,22 @@ def _fmt_inf(x: float) -> str:
 
 def condition_report(A: PatternedMatrix, b=None) -> ConditionReport:
     """Assemble all condition numbers and bounds for one instance, from one
-    inverse of A."""
-    stack = A.entries[None]
-    g, ok = _batched_inverse(stack)
-    # the kernels' formulas overwrite the g they get
-    inv_entries = _inverse_entries(stack, g.copy(), ok)[0]
+    factorization of A (and b)."""
+    f = _factor(A.entries[None], None if b is None else as_rhs(b, A.n)[None])
+    # the kernels' formulas overwrite the g and x they get
+    inv_entries = _inverse_entries(f._replace(g=f.g.copy()))[0]
     solve_entries = bsol = c_solve_val = None
     if b is not None:
-        rhs = as_rhs(b, A.n)
-        solve_entries = _solve_entries(stack, rhs[None], g.copy(), ok)[0]
-        bsol = _bound_solve(A, rhs, g, ok)
+        solve_entries = _solve_entries(f._replace(g=f.g.copy(), x=f.x.copy()))[0]
+        bsol = _bound_solve(A.pattern, f)
         c_solve_val = float(solve_entries.max())
     return ConditionReport(
         n=A.n,
         pattern_size=len(A.pattern),
-        c_det=float(_det_sums(stack, g, ok)[0]),
+        c_det=float(_det_sums(f)[0]),
         c_inv=float(inv_entries.max()),
         c_inv_entries=inv_entries,
-        bound_inv_entries=_bound_inverse(A, g, ok),
+        bound_inv_entries=_bound_inverse(A.pattern, f),
         c_solve=c_solve_val,
         c_solve_entries=solve_entries,
         bound_solve_entries=bsol,

@@ -1,15 +1,18 @@
 """Dense linear algebra for small matrices with first-class sparsity patterns.
 
-Determinant, inverse and solve. The scalar routines are a batch of one on the
-batched inverse that the condition kernels use, so both follow one singularity
-rule. Singularity is a value (SINGULAR), not an exception: callers map it to an
-infinite condition number. Row/column arguments are 1-based, matching the
-documentation and file formats.
+Determinant, inverse and solve. Every inverse in the package comes from one
+entry point, _factor: it scales each member of a stack (and of a right-hand
+side) by a power of two, applies the one singularity rule to the scaled
+member and inverts it. The condition kernels run on its result, and the
+scalar routines are a batch of one on it. Singularity is a value (SINGULAR),
+not an exception: callers map it to an infinite condition number. Row/column
+arguments are 1-based, matching the documentation and file formats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +85,8 @@ def as_rhs(b, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched inverse: the one home of the singularity rule; the scalar routines
-# below and the condition kernels run on it
+# the prescaled factorization: the one home of the singularity rule; the
+# scalar routines below and the condition kernels run on it
 
 def _is_lower(stack: np.ndarray) -> np.ndarray:
     """Mask of the members with no nonzero strictly above the diagonal.
@@ -157,60 +160,96 @@ def _members(array: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return array if mask.all() else array[mask]
 
 
-def _batched_inverse(stack: np.ndarray):
-    """Inverse of a (M, n, n) stack and the mask of members that have one.
+class Factorization(NamedTuple):
+    """_factor's result: a is the stack with member i times 2^shift[i], g its
+    inverse and ok the mask of members that have one; b is the rhs with
+    member i times 2^rhs_shift[i], x = g b, and solved the mask of members in
+    ok whose b and x are finite (all four None without a rhs)."""
+    a: np.ndarray
+    shift: np.ndarray
+    g: np.ndarray
+    ok: np.ndarray
+    b: np.ndarray | None = None
+    rhs_shift: np.ndarray | None = None
+    x: np.ndarray | None = None
+    solved: np.ndarray | None = None
 
-    The singularity rule: a member is singular when it has a non-finite
-    entry, when LU meets an exactly zero pivot, or when its inverse
-    overflows. Lower-triangular members are inverted by substitution, where
-    the zero pivot is an exactly zero diagonal entry; every other finite
-    member is factorized once by LAPACK. Which path a member takes depends
-    on its own entries only.
-    """
-    ok = np.isfinite(stack).all(axis=(-1, -2))
-    lower = ok & _is_lower(stack)
+
+def _prescale(values: np.ndarray, axes):
+    """values times the power of two per member that puts its largest
+    magnitude in [1, 2), the exponents, and the mask of all-finite members:
+    the one reduction max(max, -min) is NaN or inf exactly on the others,
+    which stay as they are. ldexp, unlike a factor 2^(1 - e), also scales a
+    subnormal largest entry; the scaling is exact unless the member spans
+    more than 2^1022 in magnitude."""
+    top = np.maximum(values.max(axis=axes, initial=0.0), -values.min(axis=axes, initial=0.0))
+    finite = np.isfinite(top)
+    shift = 1 - np.frexp(top)[1]
+    shift[~finite] = 0
+    return np.ldexp(values, shift[(...,) + (None,) * len(axes)]), shift, finite
+
+
+def _factor(stack: np.ndarray, rhs: np.ndarray | None = None) -> Factorization:
+    """The prescaled factorization of a (M, n, n) stack and an optional
+    (M, n) rhs. The singularity rule, on the scaled member: it is singular
+    when it has a non-finite entry, when LU meets an exactly zero pivot (an
+    exactly zero diagonal entry on the substitution path of lower-triangular
+    members), or when its inverse overflows; a system is unsolved also when
+    b has a non-finite entry or x overflows. A member's bits depend on its
+    own entries only, and not on a power-of-two scaling of A or b."""
+    a, shift, ok = _prescale(stack, (-1, -2))
+    lower = ok & _is_lower(a)
     general = ok & ~lower
     if lower.all():
-        out = _lower_inverse(stack)
+        g = _lower_inverse(a)
     elif general.all():
-        out = _lu_inverse(stack)
+        g = _lu_inverse(a)
     else:
-        out = np.full_like(stack, np.nan)
+        g = np.full_like(a, np.nan)
         for mask, invert in ((lower, _lower_inverse), (general, _lu_inverse)):
             if mask.any():
-                out[mask] = invert(stack[mask])
-    ok &= np.isfinite(out).all(axis=(-1, -2))
-    return out, ok
+                g[mask] = invert(a[mask])
+    ok &= np.isfinite(g).all(axis=(-1, -2))
+    if rhs is None:
+        return Factorization(a, shift, g, ok)
+    b, rhs_shift, solved = _prescale(rhs, (-1,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (g @ b[..., None])[..., 0]
+    solved &= ok & np.isfinite(x).all(axis=-1)
+    return Factorization(a, shift, g, ok, b, rhs_shift, x, solved)
+
+
+def _factor_one(A, b=None) -> Factorization:
+    """_factor of a square A (and b) as a stack of one."""
+    a = as_array(A)
+    if a.shape != (a.shape[0], a.shape[0]):
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return _factor(a[None], None if b is None else as_rhs(b, len(a))[None])
 
 
 def determinant(A) -> float:
     """det(A) by LAPACK, +-inf where it overflows; exactly 0.0 for input that
-    is singular under the rule of _batched_inverse."""
-    a = as_array(A)
+    is singular under the rule of _factor."""
     with np.errstate(over="ignore"):
-        return 0.0 if inverse(a) is SINGULAR else float(np.linalg.det(a))
+        return float(np.linalg.det(as_array(A))) if _factor_one(A).ok[0] else 0.0
 
 
 def inverse(A):
-    """A^-1 as a dense array, or SINGULAR: a batch of one on _batched_inverse."""
-    a = as_array(A)
-    if a.shape != (a.shape[0], a.shape[0]):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    g, ok = _batched_inverse(a[None])
-    return g[0] if ok[0] else SINGULAR
+    """A^-1 as a dense array, or SINGULAR when A is singular under the rule
+    of _factor or an entry of A^-1 overflows."""
+    f = _factor_one(A)
+    with np.errstate(over="ignore"):
+        g = np.ldexp(f.g[0], f.shift[0])
+    return g if f.ok[0] and np.isfinite(g).all() else SINGULAR
 
 
 def solve(A, b):
-    """Solution of A x = b as A^-1 b, or SINGULAR when A is singular or the
-    solution is not finite (the rule of the solve condition kernel)."""
-    a = as_array(A)
-    rhs = as_rhs(b, a.shape[0])
-    g = inverse(a)
-    if g is SINGULAR:
-        return SINGULAR
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = g @ rhs
-    return x if np.isfinite(x).all() else SINGULAR
+    """Solution of A x = b, or SINGULAR when the system is unsolved under the
+    rule of _factor or an entry of x overflows."""
+    f = _factor_one(A, b)
+    with np.errstate(over="ignore"):
+        x = np.ldexp(f.x[0], f.shift[0] - f.rhs_shift[0])
+    return x if f.solved[0] and np.isfinite(x).all() else SINGULAR
 
 
 def format17(x) -> str:
@@ -228,16 +267,21 @@ def write_matrix_file(A, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_matrix_file(path) -> np.ndarray:
+def _read_values(path, kind: str, size):
+    """n and the size(n) values that follow it in a matrix or vector file."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     if not tokens:
-        raise ValueError(f"{path}: empty matrix file")
+        raise ValueError(f"{path}: empty {kind} file")
     n = int(tokens[0])
-    vals = tokens[1:]
-    if len(vals) != n * n:
-        raise ValueError(f"{path}: expected {n * n} entries, found {len(vals)}")
-    return np.array([float(v) for v in vals], dtype=float).reshape(n, n)
+    if len(tokens) - 1 != size(n):
+        raise ValueError(f"{path}: expected {size(n)} entries, found {len(tokens) - 1}")
+    return n, np.array([float(v) for v in tokens[1:]], dtype=float)
+
+
+def read_matrix_file(path) -> np.ndarray:
+    n, values = _read_values(path, "matrix", lambda n: n * n)
+    return values.reshape(n, n)
 
 
 def write_vector_file(b, path) -> None:
@@ -249,12 +293,4 @@ def write_vector_file(b, path) -> None:
 
 
 def read_vector_file(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError(f"{path}: empty vector file")
-    n = int(tokens[0])
-    vals = tokens[1:]
-    if len(vals) != n:
-        raise ValueError(f"{path}: expected {n} entries, found {len(vals)}")
-    return np.array([float(v) for v in vals], dtype=float)
+    return _read_values(path, "vector", lambda n: n)[1]

@@ -6,8 +6,11 @@ perturbed values and evaluated from scratch, with a fresh memo of minors,
 every output is compared with the reference on every trial, and the
 all-zero sign pattern is left out. oracle_condition holds leading entries as
 scalars, puts the others on the axes of a sign grid and keeps only each
-output's extremes instead; it must return the same bytes. The arguments are
-taken as valid: the checks that raise ValueError are oracle_condition's own.
+output's extremes instead; it must return the same bytes. It scales and
+inverts A with its own _prescaled and _batched_inverse, the package's before
+linalg._factor took their place, so it shares no prescaling with the code it
+checks. The arguments are taken as valid: the checks that raise ValueError
+are oracle_condition's own.
 """
 
 from __future__ import annotations
@@ -17,10 +20,45 @@ import math
 import numpy as np
 
 from sparsecond import conditioning
-from sparsecond.conditioning import ZERO_SNAP, _prescaled, componentwise_ratio
-from sparsecond.linalg import PatternedMatrix, _batched_inverse, _lu_inverse, _lu_solve
+from sparsecond.conditioning import ZERO_SNAP, componentwise_ratio
+from sparsecond.linalg import PatternedMatrix, _is_lower, _lower_inverse, _lu_inverse, _lu_solve
 
 CHUNK = 3 ** 8
+
+
+def _prescaled(x: np.ndarray) -> np.ndarray:
+    """Finite x times the power of two that puts its largest magnitude in
+    [1, 2). The scaling is exact unless it takes an entry into the subnormal
+    range, so relative distances do not move, and the closed forms of a
+    small matrix neither overflow nor underflow."""
+    top = np.abs(x).max(initial=0.0)
+    return np.ldexp(x, 1 - np.frexp(top)[1]) if top > 0.0 else x
+
+
+def _batched_inverse(stack: np.ndarray):
+    """Inverse of a (M, n, n) stack and the mask of members that have one.
+
+    The singularity rule: a member is singular when it has a non-finite
+    entry, when LU meets an exactly zero pivot, or when its inverse
+    overflows. Lower-triangular members are inverted by substitution, where
+    the zero pivot is an exactly zero diagonal entry; every other finite
+    member is factorized once by LAPACK. Which path a member takes depends
+    on its own entries only.
+    """
+    ok = np.isfinite(stack).all(axis=(-1, -2))
+    lower = ok & _is_lower(stack)
+    general = ok & ~lower
+    if lower.all():
+        out = _lower_inverse(stack)
+    elif general.all():
+        out = _lu_inverse(stack)
+    else:
+        out = np.full_like(stack, np.nan)
+        for mask, invert in ((lower, _lower_inverse), (general, _lu_inverse)):
+            if mask.any():
+                out[mask] = invert(stack[mask])
+    ok &= np.isfinite(out).all(axis=(-1, -2))
+    return out, ok
 
 
 def _base3(codes: np.ndarray, width: int) -> np.ndarray:

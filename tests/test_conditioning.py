@@ -915,7 +915,8 @@ class TestMaxOnlyInverseReduction:
         nonfinite = rng.standard_normal((2, n, n))
         nonfinite[0, 1, 3] = math.inf
         nonfinite[1, 4, 0] = math.nan
-        overflowing = np.eye(n) * 1e-310  # its inverse overflows
+        overflowing = np.eye(n)  # its inverse overflows at every scale
+        overflowing[:2, :2] = [[1e-300, 0.0], [1.0, 1e-300]]
         members = [*dense, *lower, np.ones((n, n)), zero_pivot, *nonfinite, overflowing,
                    np.diag(np.arange(1.0, n + 1.0))]
         return np.stack([members[i] for i in rng.permutation(len(members))])
@@ -976,16 +977,18 @@ class TestLowerTriangularPath:
     @staticmethod
     def _special_members(n):
         """Zero-diagonal, non-finite and overflowing lower-triangular members
-        with their right-hand sides; the last pair overflows only in x."""
+        with their right-hand sides; the last pair overflows only in x, whose
+        second entry is about -1.9e308 at every scale."""
         eye = np.eye(n)
-        zero_diag, nan_below, inf_diag, tiny_diag = (eye.copy() for _ in range(4))
+        zero_diag, nan_below, inf_diag, tiny_diag, big_x = (eye.copy() for _ in range(5))
         zero_diag[n - 1, n - 1] = 0.0
         nan_below[n - 1, 0] = math.nan
         inf_diag[0, 0] = math.inf
         tiny_diag[:2, :2] = [[1e-300, 0.0], [1.0, 1e-300]]
-        stack = np.stack([zero_diag, nan_below, inf_diag, tiny_diag, 1e-300 * eye])
+        big_x[:2, :2] = [[1e-154, 0.0], [1.0, 1e-154]]
+        stack = np.stack([zero_diag, nan_below, inf_diag, tiny_diag, big_x])
         rhs = np.ones((5, n))
-        rhs[4] = 1e10
+        rhs[4] = 1.9
         return stack, rhs
 
     @pytest.mark.filterwarnings("error")
@@ -995,13 +998,13 @@ class TestLowerTriangularPath:
         special, special_rhs = self._special_members(n)
         stack = np.concatenate([_well_conditioned_lower(rng, 40, n), special])
         rhs = np.concatenate([rng.standard_normal((40, n)), special_rhs])
-        g, ok = linalg._batched_inverse(stack)
+        f = linalg._factor(stack)
         got = self._kernels(stack, rhs)
         monkeypatch.setattr(linalg, "_is_lower", lambda s: np.zeros(len(s), dtype=bool))
-        g_ref, ok_ref = linalg._batched_inverse(stack)
+        ref_f = linalg._factor(stack)
         ref = self._kernels(stack, rhs)
-        assert list(ok) == list(ok_ref) == [True] * 40 + [False] * 4 + [True]
-        assert_allclose(g[:40], g_ref[:40], rtol=1e-9, atol=1e-15)
+        assert list(f.ok) == list(ref_f.ok) == [True] * 40 + [False] * 4 + [True]
+        assert_allclose(f.g[:40], ref_f.g[:40], rtol=1e-9, atol=1e-15)
         for values, expected in zip(got, ref):
             _assert_same(values, expected)
         assert np.isinf(got[0][40:44]).all() and np.isinf(got[2][40:]).all()
@@ -1009,10 +1012,10 @@ class TestLowerTriangularPath:
     def test_entries_above_diagonal_are_exactly_zero(self):
         rng = np.random.default_rng(11)
         stack = np.tril(rng.standard_normal((200, 30, 30)))
-        g, ok = linalg._batched_inverse(stack)
+        f = linalg._factor(stack)
         rows, cols = np.triu_indices(30, 1)
-        assert ok.all()
-        assert (g[:, rows, cols] == 0.0).all()
+        assert f.ok.all()
+        assert (f.g[:, rows, cols] == 0.0).all()
         assert (batch_cond_inverse_entries(stack)[:, rows, cols] == 0.0).all()
 
     def test_mixed_stack_members_equal_batch_of_one(self):
@@ -1040,9 +1043,9 @@ class TestLowerTriangularPath:
     def test_matches_exact_rational_inverse(self, n):
         rng = np.random.default_rng(100 + n)
         stack = np.tril(rng.standard_normal((4, n, n)))
-        g, ok = linalg._batched_inverse(stack)
-        assert ok.all()
-        for a, got in zip(stack, g):
+        f = linalg._factor(stack)
+        assert f.ok.all()
+        for a, got in zip(f.a, f.g):
             exact = _exact_lower_inverse(a)
             for i, j in itertools.product(range(n), repeat=2):
                 if j > i:
@@ -1097,15 +1100,15 @@ class TestConditionReport:
     def test_one_inverse_per_report(self, with_rhs, monkeypatch):
         calls = []
 
-        def counted(stack):
+        def counted(stack, rhs=None):
             calls.append(len(stack))
-            return linalg._batched_inverse(stack)
+            return linalg._factor(stack, rhs)
 
         rng = np.random.default_rng(44)
         pat = tridiagonal_pattern(40)
         a = PatternedMatrix(pat, rng.standard_normal((40, 40)) * pat.mask)
         b = rng.standard_normal(40) if with_rhs else None
-        monkeypatch.setattr(conditioning, "_batched_inverse", counted)
+        monkeypatch.setattr(conditioning, "_factor", counted)
         condition_report(a, b)
         assert calls == [1]
 
@@ -1193,14 +1196,17 @@ class TestTiledKernels:
         nonfinite = dense[1:3].copy()
         nonfinite[0, 2, 5] = math.inf
         nonfinite[1, 0, 0] = math.nan
-        tiny_lower = np.eye(n) * 1e-310  # its inverse overflows
-        tiny_dense = dense[3] * 1e-310
-        big_x_lower = np.eye(n) * 1e-300  # with a 1e10 rhs, its solution overflows
-        big_x_dense = dense[4] * 1e-300
+        # inverses that overflow at every scale, and solutions that overflow
+        # with an rhs of 1.9 (x_1 or x_2 is about -1.9e308)
+        tiny_lower, tiny_dense, big_x_lower, big_x_dense = (np.eye(n) for _ in range(4))
+        tiny_lower[:2, :2] = [[1e-300, 0.0], [1.0, 1e-300]]
+        tiny_dense[:2, :2] = [[1e-300, 1.0], [0.0, 1e-300]]
+        big_x_lower[:2, :2] = [[1e-154, 0.0], [1.0, 1e-154]]
+        big_x_dense[:2, :2] = [[1e-154, 1.0], [0.0, 1e-154]]
         members = [*dense, *lower, np.ones((n, n)), zero_diag, singular_dense, *nonfinite,
                    tiny_lower, tiny_dense, big_x_lower, big_x_dense]
         rhs = rng.standard_normal((len(members), n))
-        rhs[-2:] = 1e10
+        rhs[-2:] = 1.9
         rhs[3, 1] = math.inf
         order = rng.permutation(len(members))
         return np.stack(members)[order], rhs[order]

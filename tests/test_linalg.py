@@ -10,7 +10,7 @@ from sparsecond.fplab import PrecisionConfig, backward_error_omega, forward_subs
 from sparsecond.linalg import (
     SINGULAR,
     PatternedMatrix,
-    _batched_inverse,
+    _factor,
     _is_lower,
     _lower_inverse,
     determinant,
@@ -95,14 +95,14 @@ def test_solve_residual():
         assert np.abs(a @ x - b).max() <= COMPOSE_RTOL * scale
 
 
-def _singularity_rule_inputs(rng):
+def _singularity_rule_inputs(rng, power):
     """Exactly singular small-integer matrices (products of integer n x (n-1)
     and (n-1) x n factors with entries in [-3, 3], every second one scaled by
-    10^k), then random dense and lower-triangular ones."""
+    10^k, |k| <= power), then random dense and lower-triangular ones."""
     for i in range(2000):
         n = int(rng.integers(2, 7))
         a = (rng.integers(-3, 4, (n, n - 1)) @ rng.integers(-3, 4, (n - 1, n))).astype(float)
-        yield a * 10.0 ** int(rng.integers(-10, 11)) if i % 2 else a
+        yield a * 10.0 ** int(rng.integers(-power, power + 1)) if i % 2 else a
     for n in rng.integers(1, 9, 200):
         yield rng.standard_normal((n, n))
     for n in rng.integers(1, 31, 200):
@@ -111,27 +111,51 @@ def _singularity_rule_inputs(rng):
         yield np.tril(entries)
 
 
+def _representable(scaled: np.ndarray, shift) -> bool:
+    """Whether scaled times 2^shift is finite in double: its largest
+    magnitude, m 2^e with 0.5 <= m < 1, is below 2^1024 exactly when
+    e + shift <= 1024."""
+    return math.frexp(float(np.abs(scaled).max(initial=0.0)))[1] + int(shift) <= 1024
+
+
 @pytest.mark.filterwarnings("error")
 def test_scalar_routines_follow_the_kernel_singularity_rule():
-    rng = np.random.default_rng(31)
-    singular = 0
-    for a in _singularity_rule_inputs(rng):
-        b = rng.standard_normal(len(a))
-        g = inverse(a)
-        assert (g is SINGULAR) == (cond_det(a) == math.inf)
-        if g is SINGULAR:
-            singular += 1
-            assert determinant(a) == 0.0
-        else:
-            assert g.tobytes() == _batched_inverse(a[None])[0][0].tobytes()
-        assert (solve(a, b) is SINGULAR) == bool(np.isinf(cond_solve_entries(a, b)).all())
-    assert 0 < singular < 2400
+    for power in (10, 300):
+        rng = np.random.default_rng(31)
+        singular = unrepresentable = 0
+        for a in _singularity_rule_inputs(rng, power):
+            b = rng.standard_normal(len(a))
+            f = _factor(a[None], b[None])
+            g = inverse(a)
+            assert (not f.ok[0]) == (cond_det(a) == math.inf)
+            if not f.ok[0]:
+                singular += 1
+                assert g is SINGULAR and determinant(a) == 0.0
+            elif not _representable(f.g[0], f.shift[0]):
+                # the one carve-out: A is regular under the rule, but A^-1 is
+                # beyond the double range, so inverse() cannot return it
+                unrepresentable += 1
+                assert g is SINGULAR and math.isfinite(cond_det(a))
+            else:
+                assert g.tobytes() == np.ldexp(f.g[0], f.shift[0]).tobytes()
+            x = solve(a, b)
+            assert (not f.solved[0]) == bool(np.isinf(cond_solve_entries(a, b)).all())
+            if f.solved[0] and not _representable(f.x[0], f.shift[0] - f.rhs_shift[0]):
+                unrepresentable += 1  # the same carve-out for x
+                assert x is SINGULAR
+            else:
+                assert (x is SINGULAR) == (not f.solved[0])
+        assert 0 < singular < 2400
+        assert unrepresentable == 0 if power == 10 else unrepresentable > 0
+    # regular under the rule (its scaled member is [[1.9765625]]), but 1e320
+    # is not a double
     tiny = np.array([[1e-320]])
+    assert cond_det(tiny) == pytest.approx(1.0, rel=1e-15)
     assert inverse(tiny) is SINGULAR and solve(tiny, [1.0]) is SINGULAR
-    assert determinant(tiny) == 0.0
-    # a finite inverse whose solution overflows
+    assert determinant(tiny) == 1e-320
+    # a solution beyond the double range; the scaled system is [[1]] x = [1]
     assert solve([[1e-300]], [1e10]) is SINGULAR
-    assert cond_solve_entries([[1e-300]], [1e10])[0] == math.inf
+    assert cond_solve_entries([[1e-300]], [1e10])[0] == 2.0
     assert determinant(1e20 * np.eye(30)) == math.inf
 
 
