@@ -30,13 +30,7 @@ import numpy as np
 
 from .linalg import (Factorization, PatternedMatrix, _factor, _lu_inverse, _lu_solve, _members,
                      as_array, as_rhs, format17)
-from .patterns import SparsityPattern
-
-# Entries of computed inverses (and solutions) this far below the largest
-# entry are treated as exact zeros when deciding the 0 / inf output
-# conventions. LU round-off leaves ~1e-16 * growth garbage in structurally
-# zero positions; 1e-10 clears it while never touching a generic entry.
-ZERO_SNAP = 1e-10
+from .patterns import SparsityPattern, _closure
 
 _QUANTITIES = ("det", "inv", "solve")
 
@@ -304,13 +298,12 @@ def _lapack_outputs(quantity: str, n: int, rows, cols, perturbed) -> np.ndarray:
     return _lu_solve(stack, np.stack(trials[len(rows):], axis=1)).T
 
 
-def _worst_distance(hi: np.ndarray, lo: np.ndarray, ref: np.ndarray, tol) -> np.ndarray:
-    """max |snap(v) - ref| over the trials v of each output, from their
-    largest value hi and smallest value lo, where snap zeroes |v| <= tol.
-    snap(v) and the rounded snap(v) - ref are both non-decreasing in v, so the
-    largest magnitude is at hi or at lo, bit for bit; a NaN trial makes hi
-    and lo NaN, and so the distance."""
-    return np.maximum(*(np.abs(np.where(np.abs(v) <= tol, 0.0, v) - ref) for v in (hi, lo)))
+def _worst_distance(hi: np.ndarray, lo: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """max |v - ref| over the trials v of each output, from their largest
+    value hi and smallest value lo. The rounded v - ref is non-decreasing in
+    v, so the largest magnitude is at hi or at lo, bit for bit; a NaN trial
+    makes hi and lo NaN, and so the distance."""
+    return np.maximum(np.abs(hi - ref), np.abs(lo - ref))
 
 
 def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 0,
@@ -330,6 +323,8 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     smallest value as soon as it is computed, and the distance is taken once
     from the extremes over all chunks (_worst_distance): no bit depends on
     the chunking. The all-zero sign pattern is a trial at a distance of 0.
+    Outputs outside the structure of A^-1 (of x; patterns._closure) count as
+    zero in every trial, as they are in the closed forms.
 
     A and b are first scaled by linalg._factor, each by a power of two that
     puts its largest entry in [1, 2); the result does not depend on their
@@ -353,11 +348,9 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     n = a.shape[0] if a.ndim else 0
     if a.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    rhs = None
-    if quantity == "solve":
-        if b is None:
-            raise ValueError("quantity 'solve' needs a right-hand side")
-        rhs = as_rhs(b, n)
+    if quantity == "solve" and b is None:
+        raise ValueError("quantity 'solve' needs a right-hand side")
+    rhs = as_rhs(b, n) if quantity == "solve" else None
     shape = {"det": (), "inv": (n, n), "solve": (n,)}[quantity]
     if n == 0:
         return 0.0 if quantity == "det" else np.zeros(shape)
@@ -383,8 +376,10 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
         ref = np.array([np.max(v) for v in outputs(quantity, n, rows, cols, table[:, 1:2])])
     if not np.isfinite(ref).all() or (quantity == "det" and ref[0] == 0.0):
         return singular
-    tol = 0.0 if quantity == "det" else ZERO_SNAP * np.abs(ref).max()
-    ref_s = np.where(np.abs(ref) > tol, ref, 0.0)
+    # outside the mask LAPACK's round-off times 0.0 is 0; a NaN (singular) trial stays NaN
+    keep = 1.0 if quantity == "det" else _closure(f.a[0] != 0.0)
+    keep = np.ravel(keep if rhs is None else (keep & (f.b[0] != 0.0)).any(axis=1))
+    ref = ref * keep
 
     if m <= exhaustive_limit:
         chunks = _sign_chunks(table)
@@ -405,7 +400,7 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
             hi, lo = np.maximum(hi, top), np.minimum(lo, bottom)
     # the largest distance over the trials, divided once: division by |ref|
     # is monotone, so this is the largest ratio
-    dist = componentwise_ratio(_worst_distance(hi, lo, ref_s, tol), ref_s) / delta
+    dist = componentwise_ratio(_worst_distance(hi * keep, lo * keep, ref), ref) / delta
     return float(dist[0]) if quantity == "det" else dist.reshape(shape)
 
 
@@ -461,20 +456,11 @@ def batch_cond_det(stack: np.ndarray) -> np.ndarray:
     return _det_sums(_factor(stack))
 
 
-def _snap_batch(values: np.ndarray, axes) -> np.ndarray:
-    """Magnitudes of the finite values, with entries below ZERO_SNAP times the
-    largest set to zero. Overwrites values and returns it."""
-    mags = np.abs(values, out=values)
-    top = mags.max(axis=axes, keepdims=True, initial=0.0)
-    # times a 0/1 mask is np.where(mags > ..., mags, 0.0) bit for bit here
-    np.multiply(mags, mags > ZERO_SNAP * top, out=mags)
-    return mags
-
-
 def _inverse_entries(f: Factorization) -> np.ndarray:
     """Entrywise inversion condition numbers; rows of singular members are
     all +inf."""
-    gs = _snap_batch(_members(f.g, f.ok), (-1, -2))
+    gs = _members(f.g, f.ok)
+    np.abs(gs, out=gs)
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = componentwise_ratio(gs @ np.abs(_members(f.a, f.ok)) @ gs, gs)
     if f.ok.all():
@@ -511,7 +497,7 @@ def _solve_entries(f: Factorization) -> np.ndarray:
     vals = np.full(f.b.shape, np.inf)
     if f.solved.any():
         g, x, a, b = (_members(v, f.solved) for v in (f.g, f.x, f.a, f.b))
-        gs, xs = _snap_batch(g, (-1, -2)), _snap_batch(x, (-1,))
+        gs, xs = np.abs(g, out=g), np.abs(x, out=x)
         with np.errstate(over="ignore", invalid="ignore"):
             num = gs @ (np.abs(a) @ xs[..., None]) + gs @ np.abs(b)[..., None]
             vals[f.solved] = componentwise_ratio(num[..., 0], xs)

@@ -1,22 +1,24 @@
 """Dense linear algebra for small matrices with first-class sparsity patterns.
 
-Determinant, inverse and solve. Every inverse in the package comes from one
-entry point, _factor: it scales each member of a stack (and of a right-hand
-side) by a power of two, applies the one singularity rule to the scaled
-member and inverts it. The condition kernels run on its result, and the
-scalar routines are a batch of one on it. Singularity is a value (SINGULAR),
-not an exception: callers map it to an infinite condition number. Row/column
-arguments are 1-based, matching the documentation and file formats.
+Determinant, inverse and solve. The kernels, bounds and scalar routines take
+every inverse from one entry point, _factor: it scales each member of a
+stack (and of a right-hand side) by a power of two, applies the one
+singularity rule to the scaled member, inverts it and keeps the structural
+zeros of the inverse exact. Only the oracle's perturbed trials beyond 4 x 4
+call LAPACK themselves (_lu_inverse, _lu_solve). Singularity is a value
+(SINGULAR), not an exception: callers map it to an infinite condition
+number. Row/column arguments are 1-based, as in the docs and file formats.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .patterns import SparsityPattern, full_pattern
+from .patterns import SparsityPattern, _closure, full_pattern
 
 class SingularFlag:
     """Sentinel return value for numerically singular inputs."""
@@ -143,16 +145,9 @@ def _lu_apply(op, stack: np.ndarray, *args) -> np.ndarray:
         return out
 
 
-def _lu_inverse(stack: np.ndarray) -> np.ndarray:
-    """LAPACK inverse of a stack of finite matrices; members with an exactly
-    zero pivot are NaN."""
-    return _lu_apply(np.linalg.inv, stack)
-
-
-def _lu_solve(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LAPACK solutions of a stack of finite systems; members with an exactly
-    zero pivot are NaN."""
-    return _lu_apply(lambda s, r: np.linalg.solve(s, r[..., None])[..., 0], stack, rhs)
+# the LAPACK inverse of a stack, and its solutions with a (M, n) rhs
+_lu_inverse = functools.partial(_lu_apply, np.linalg.inv)
+_lu_solve = functools.partial(_lu_apply, lambda s, r: np.linalg.solve(s, r[..., None])[..., 0])
 
 
 def _members(array: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -195,7 +190,9 @@ def _factor(stack: np.ndarray, rhs: np.ndarray | None = None) -> Factorization:
     when it has a non-finite entry, when LU meets an exactly zero pivot (an
     exactly zero diagonal entry on the substitution path of lower-triangular
     members), or when its inverse overflows; a system is unsolved also when
-    b has a non-finite entry or x overflows. A member's bits depend on its
+    b has a non-finite entry or x overflows. G is exactly zero outside the
+    closure of the member's support (patterns._closure), and so x = G b
+    outside the closure times the support of b. A member's bits depend on its
     own entries only, and not on a power-of-two scaling of A or b."""
     a, shift, ok = _prescale(stack, (-1, -2))
     lower = ok & _is_lower(a)
@@ -210,6 +207,17 @@ def _factor(stack: np.ndarray, rhs: np.ndarray | None = None) -> Factorization:
             if mask.any():
                 g[mask] = invert(a[mask])
     ok &= np.isfinite(g).all(axis=(-1, -2))
+    general &= ok
+    if general.any() and not a.all():
+        # zero LAPACK's round-off outside the closure, one closure per support
+        supp = a != 0.0
+        first = supp[general.argmax()]
+        same = general & (supp == first).all(axis=(-1, -2))
+        groups = [(same, first)] + [(i, supp[i]) for i in np.flatnonzero(general & ~same)]
+        for where, support in groups:
+            closure = _closure(support)
+            if not closure.all():
+                g[where] *= closure
     if rhs is None:
         return Factorization(a, shift, g, ok)
     b, rhs_shift, solved = _prescale(rhs, (-1,))

@@ -9,8 +9,9 @@ scalars, puts the others on the axes of a sign grid and keeps only each
 output's extremes instead; it must return the same bytes. It scales and
 inverts A with its own _prescaled and _batched_inverse, the package's before
 linalg._factor took their place, so it shares no prescaling with the code it
-checks. The arguments are taken as valid: the checks that raise ValueError
-are oracle_condition's own.
+checks. Its zero rule comes from Jacobi's identity and the matchings of
+the minors, not from patterns._closure. The arguments are taken as valid:
+the checks that raise ValueError are oracle_condition's own.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import math
 import numpy as np
 
 from sparsecond import conditioning
-from sparsecond.conditioning import ZERO_SNAP, componentwise_ratio
+from sparsecond.conditioning import componentwise_ratio
 from sparsecond.linalg import PatternedMatrix, _is_lower, _lower_inverse, _lu_inverse, _lu_solve
+from sparsecond.patterns import is_admissible, pattern_from_mask
 
 CHUNK = 3 ** 8
 
@@ -59,6 +61,23 @@ def _batched_inverse(stack: np.ndarray):
                 out[mask] = invert(stack[mask])
     ok &= np.isfinite(out).all(axis=(-1, -2))
     return out, ok
+
+
+def minor_structure(support: np.ndarray) -> np.ndarray:
+    """Where the inverse of a generic matrix with this boolean support is
+    nonzero: g_kl = +-det(minor)/det(A) for the minor that deletes row l and
+    column k (Jacobi), and a generic determinant is nonzero exactly when its
+    support has a perfect matching. All True when the support itself has
+    none, as for a structurally singular A no entry is known to vanish."""
+    n = len(support)
+    if n == 1 or not is_admissible(pattern_from_mask(support)):
+        return np.ones((n, n), dtype=bool)
+    out = np.empty((n, n), dtype=bool)
+    for k in range(n):
+        for l in range(n):
+            minor = pattern_from_mask(np.delete(np.delete(support, l, axis=0), k, axis=1))
+            out[k, l] = minor is not None and is_admissible(minor)
+    return out
 
 
 def _base3(codes: np.ndarray, width: int) -> np.ndarray:
@@ -184,8 +203,13 @@ def whole_table_oracle(quantity: str, A, b=None, delta: float = 1e-6, seed: int 
     ref = values(quantity, n, rows, cols, table[:, 1:2])[0]
     if not np.isfinite(ref).all() or (quantity == "det" and ref[0] == 0.0):
         return singular
-    tol = 0.0 if quantity == "det" else ZERO_SNAP * np.abs(ref).max()
-    ref_s = np.where(np.abs(ref) > tol, ref, 0.0)
+    keep = 1.0
+    if quantity != "det":
+        keep = minor_structure(a != 0.0)
+        if rhs is not None:
+            keep = (keep & (entries[len(rows):] != 0.0)).any(axis=1)
+        keep = keep.ravel()
+    ref_s = ref * keep
 
     if m <= exhaustive_limit:
         chunks = (sign_digits(m, start, min(start + CHUNK, 3 ** m))
@@ -197,7 +221,7 @@ def whole_table_oracle(quantity: str, A, b=None, delta: float = 1e-6, seed: int 
     worst = 0.0
     for digits in chunks:
         pert = values(quantity, n, rows, cols, table[np.arange(m)[:, None], digits.T])
-        pert_s = np.where(np.abs(pert) <= tol, 0.0, pert)
+        pert_s = pert * keep
         worst = np.maximum(worst, np.abs(pert_s - ref_s).max(axis=0))
     dist = componentwise_ratio(worst, ref_s) / delta
     return float(dist[0]) if quantity == "det" else dist.reshape(shape)

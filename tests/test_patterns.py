@@ -68,7 +68,7 @@ def _admissible_brute_force(pattern):
 
 def test_admissible_matches_brute_force():
     rng = np.random.default_rng(20240501)
-    for n in range(1, 6):
+    for n in range(1, 8):
         for _ in range(40):
             mask = rng.random((n, n)) < rng.uniform(0.15, 0.9)
             pat = pattern_from_mask(mask)
