@@ -2,8 +2,8 @@
 
 All condition values use the componentwise relative distance
 ``max_i |u_i - v_i| / |v_i|`` with the conventions 0/0 -> 0 and x/0 -> inf for
-x != 0. Perturbations are relative and respect the sparsity pattern: an entry
-that is structurally zero stays zero. Consequently every condition number here
+x != 0. Perturbations are relative, so an entry that holds 0 stays 0 and every
+quantity here reads the support of A from its nonzeros. Every condition number
 is homogeneous of degree 0 and singular inputs get the value +inf.
 
 Closed forms come from the first-order sensitivities of the outputs:
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (Factorization, PatternedMatrix, _factor, _lu_inverse, _lu_solve, _members,
-                     as_array, as_rhs, format17)
-from .patterns import SparsityPattern, _closure
+from .linalg import (Factorization, PatternedMatrix, _factor, _factor_one, _lu_inverse, _lu_solve,
+                     _members, as_rhs, as_square, format17)
+from .patterns import _closure
 
 _QUANTITIES = ("det", "inv", "solve")
 
@@ -64,12 +64,12 @@ def cond_det(A) -> float:
 
     Returns +inf for singular input and 0.0 for the empty (0 x 0) matrix.
     """
-    return float(batch_cond_det(as_array(A)[None])[0])
+    return float(batch_cond_det(as_square(A)[None])[0])
 
 
 def cond_inverse_entries(A) -> np.ndarray:
     """Matrix of condition numbers of the individual entries of A^-1."""
-    return batch_cond_inverse_entries(as_array(A)[None])[0]
+    return batch_cond_inverse_entries(as_square(A)[None])[0]
 
 
 def _entry(values: np.ndarray, *indices: int) -> float:
@@ -91,7 +91,7 @@ def cond_inverse(A) -> float:
 
 def cond_solve_entries(A, b) -> np.ndarray:
     """Vector of condition numbers of the solution components of A x = b."""
-    a = as_array(A)
+    a = as_square(A)
     return batch_cond_solve_entries(a[None], as_rhs(b, a.shape[0])[None])[0]
 
 
@@ -105,28 +105,27 @@ def cond_solve(A, b) -> float:
     return float(cond_solve_entries(A, b).max(initial=0.0))
 
 
-def bound_inverse_entry(A: PatternedMatrix, k: int, l: int) -> float:
+def bound_inverse_entry(A, k: int, l: int) -> float:
     """Upper bound for cond_inverse_entry(A, k, l): cond_det(A) + cond_det of
     the minor that deletes row l and column k (note the transposed order)."""
     return _entry(bound_inverse_entries(A), k, l)
 
 
-def _cramer_sums(pattern: SparsityPattern, a: np.ndarray, g: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
-    """sums[k, c] = sum of |a_ij| |g_ji - u_jc g_ki / u_kc| over the pattern
-    with j != k, where g = a^-1; +inf where u_kc == 0 or the sum is not
+def _cramer_sums(a: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sums[k, c] = sum of |a_ij| |g_ji - u_jc g_ki / u_kc| over the nonzeros
+    of a with j != k, where g = a^-1; +inf where u_kc == 0 or the sum is not
     finite.
 
     With u = g this is cond_det of the minor that deletes row c and column k;
     with u = A^-1 b it is the part of cond_det of A with column k replaced by
     b that the other columns give. Rows loop over k and are vectorised over
-    (c, support).
+    (c, nonzeros).
     """
-    rows, cols = pattern.index_arrays
+    rows, cols = np.nonzero(a)
     mags = np.abs(a[rows, cols])
-    out = np.empty((pattern.n, u.shape[1]))
+    out = np.empty((len(a), u.shape[1]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(pattern.n):
+        for k in range(len(a)):
             keep = cols != k
             i, j = rows[keep], cols[keep]
             # dividing before multiplying keeps the product from overflowing
@@ -138,32 +137,27 @@ def _cramer_sums(pattern: SparsityPattern, a: np.ndarray, g: np.ndarray,
     return out
 
 
-def bound_inverse_entries(A: PatternedMatrix) -> np.ndarray:
+def bound_inverse_entries(A) -> np.ndarray:
     """bound_inverse_entry for every (k, l), from the one inverse G of A.
 
     The minor that deletes row l and column k has the inverse entries
     g_ji - g_jl g_ki / g_kl (i != l, j != k), so its cond_det is a sum over
-    the support; it is singular exactly when g_kl == 0 (Jacobi's identity
+    the nonzeros of A; it is singular exactly when g_kl == 0 (Jacobi's identity
     det(minor) = +-det(A) g_kl). On the deleted row l the term is exactly 0
-    (g_kl / g_kl == 1). A singular A gives +inf everywhere.
+    (g_kl / g_kl == 1). A singular A gives +inf everywhere, since cond_det(A)
+    is +inf and the sums are +inf or finite.
     """
-    return _bound_inverse(A.pattern, _factor(A.entries[None]))
+    f = _factor_one(A)
+    return _det_sums(f)[0] + _cramer_sums(f.a[0], f.g[0], f.g[0])
 
 
-def _bound_inverse(pattern: SparsityPattern, f: Factorization) -> np.ndarray:
-    """bound_inverse_entries from the factorization f of a stack of one."""
-    if not f.ok[0]:
-        return np.full((pattern.n, pattern.n), np.inf)
-    return _det_sums(f)[0] + _cramer_sums(pattern, f.a[0], f.g[0], f.g[0])
-
-
-def bound_solve_entry(A: PatternedMatrix, b, k: int) -> float:
+def bound_solve_entry(A, b, k: int) -> float:
     """Upper bound for cond_solve_entry: cond_det(A) + cond_det of A with
     column k replaced by b (pattern widened on that column)."""
     return _entry(bound_solve_entries(A, b), k)
 
 
-def bound_solve_entries(A: PatternedMatrix, b) -> np.ndarray:
+def bound_solve_entries(A, b) -> np.ndarray:
     """bound_solve_entry for every k, from the one inverse G of A.
 
     Replacing column k by b is a rank-one update: with x = G b, the replaced
@@ -172,17 +166,18 @@ def bound_solve_entries(A: PatternedMatrix, b) -> np.ndarray:
     _cramer_sums with u = x and sum_i |b_i| |g_ki| / |x_k|; it is singular
     exactly when x_k == 0. An unsolved system gives +inf everywhere.
     """
-    return _bound_solve(A.pattern, _factor(A.entries[None], as_rhs(b, A.n)[None]))
+    f = _factor_one(A, b)
+    return _bound_solve(f, _det_sums(f)[0])
 
 
-def _bound_solve(pattern: SparsityPattern, f: Factorization) -> np.ndarray:
-    """bound_solve_entries from the factorization f of a system of one."""
+def _bound_solve(f: Factorization, c_det: float) -> np.ndarray:
+    """bound_solve_entries from the factorization f of one system and cond_det(A)."""
     if not f.solved[0]:
-        return np.full(pattern.n, np.inf)
+        return np.full(f.b.shape[1:], np.inf)
     g, x = f.g[0], f.x[0]
     with np.errstate(over="ignore"):
         column_b = np.abs(g) @ np.abs(f.b[0])
-    return (_det_sums(f)[0] + _cramer_sums(pattern, f.a[0], g, x[:, None])[:, 0]
+    return (c_det + _cramer_sums(f.a[0], g, x[:, None])[:, 0]
             + componentwise_ratio(column_b, x))
 
 
@@ -311,12 +306,12 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     """Estimate condition numbers straight from their definition.
 
     Evaluates the target map on relatively perturbed inputs and returns the
-    worst observed ratio of output distance to input distance. Each entry of
-    the support (plus every entry of b for "solve") is perturbed by
-    -delta*|a|, 0 or +delta*|a|. All 3^m sign patterns are enumerated when the
-    perturbed entry count m is at most exhaustive_limit; beyond that,
-    random_trials random full-magnitude sign patterns are sampled, which makes
-    the result a lower estimate of the true supremum.
+    worst observed ratio of output distance to input distance. Each nonzero
+    of A (plus every entry of b for "solve") is perturbed by -delta*|a|, 0 or
+    +delta*|a|; an entry that holds 0 never moves. All 3^m sign patterns are
+    enumerated when the perturbed entry count m is at most exhaustive_limit;
+    beyond that, random_trials random full-magnitude sign patterns are
+    sampled, which makes the result a lower estimate of the true supremum.
 
     Trials run in chunks (_sign_chunks; a random chunk holds 3^8 rows), so
     memory does not grow with 3^m. Each output is reduced to its largest and
@@ -335,8 +330,10 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
     that is singular, or a system that is unsolved, under the rule of
     linalg._factor gives +inf (an all-+inf array for "inv" and "solve").
 
-    Returns a scalar for "det", an (n, n) array for "inv", an (n,) array for
-    "solve"; like the closed forms, 0.0 or an empty array for a 0 x 0 A.
+    A is read by linalg.as_square, so a PatternedMatrix gives the bits of its
+    entries. Returns a scalar for "det", an (n, n) array for "inv", an (n,)
+    array for "solve"; like the closed forms, 0.0 or an empty array for a
+    0 x 0 A.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"perturbation scale must be positive and finite, got {delta}")
@@ -344,24 +341,19 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {_QUANTITIES}")
     if random_trials < 1:
         raise ValueError(f"random_trials must be at least 1, got {random_trials}")
-    a = as_array(A)
-    n = a.shape[0] if a.ndim else 0
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if quantity == "solve" and b is None:
         raise ValueError("quantity 'solve' needs a right-hand side")
-    rhs = as_rhs(b, n) if quantity == "solve" else None
+    f = _factor_one(A, b if quantity == "solve" else None)
+    n = f.a.shape[-1]
     shape = {"det": (), "inv": (n, n), "solve": (n,)}[quantity]
     if n == 0:
         return 0.0 if quantity == "det" else np.zeros(shape)
     singular = math.inf if quantity == "det" else np.full(shape, np.inf)
-    f = _factor(a[None], None if rhs is None else rhs[None])
-    if not (f.ok if rhs is None else f.solved)[0]:
+    if not (f.ok if f.b is None else f.solved)[0]:
         return singular
-    rows, cols = (A.pattern.index_arrays if isinstance(A, PatternedMatrix)
-                  else np.divmod(np.arange(n * n), n))
+    rows, cols = np.nonzero(f.a[0])
     entries = f.a[0][rows, cols]
-    if rhs is not None:
+    if f.b is not None:
         entries = np.concatenate([entries, f.b[0]])
     m = len(entries)
     outputs = _cofactor_outputs if n <= _COFACTOR_MAX_N else _lapack_outputs
@@ -378,7 +370,7 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
         return singular
     # outside the mask LAPACK's round-off times 0.0 is 0; a NaN (singular) trial stays NaN
     keep = 1.0 if quantity == "det" else _closure(f.a[0] != 0.0)
-    keep = np.ravel(keep if rhs is None else (keep & (f.b[0] != 0.0)).any(axis=1))
+    keep = np.ravel(keep if f.b is None else (keep & (f.b[0] != 0.0)).any(axis=1))
     ref = ref * keep
 
     if m <= exhaustive_limit:
@@ -545,6 +537,21 @@ class ConditionReport:
             return math.nan
         return float((v[both] - b[both]).max())
 
+    @staticmethod
+    def _bound_max(values, bounds) -> float:
+        # at a structural zero the condition is 0 and the bound +inf
+        return math.nan if values is None else float(np.max(bounds[values != 0.0], initial=0.0))
+
+    @property
+    def minor_bound_max(self) -> float:
+        """Largest bound where the condition is nonzero; +inf if A is singular."""
+        return self._bound_max(self.c_inv_entries, self.bound_inv_entries)
+
+    @property
+    def replacement_bound_max(self) -> float:
+        """Largest bound where the condition is nonzero; +inf if unsolved."""
+        return self._bound_max(self.c_solve_entries, self.bound_solve_entries)
+
     @property
     def minor_bound_max_slack(self) -> float:
         return self._max_slack(self.c_inv_entries, self.bound_inv_entries)
@@ -566,11 +573,10 @@ class ConditionReport:
         ]
         if self.c_solve is not None:
             lines.append(f"c_solve = {_fmt_inf(self.c_solve)}")
-        lines.append(f"minor_bound_max = {_fmt_inf(float(np.max(self.bound_inv_entries)))}")
+        lines.append(f"minor_bound_max = {_fmt_inf(self.minor_bound_max)}")
         lines.append(f"minor_bound_max_slack = {_fmt_inf(self.minor_bound_max_slack)}")
         if self.c_solve is not None:
-            lines.append(f"replacement_bound_max = "
-                         f"{_fmt_inf(float(np.max(self.bound_solve_entries)))}")
+            lines.append(f"replacement_bound_max = {_fmt_inf(self.replacement_bound_max)}")
             lines.append(f"replacement_bound_max_slack = "
                          f"{_fmt_inf(self.replacement_bound_max_slack)}")
         lines.append(f"singular = {int(self.singular)}")
@@ -615,21 +621,22 @@ def _fmt_inf(x: float) -> str:
 def condition_report(A: PatternedMatrix, b=None) -> ConditionReport:
     """Assemble all condition numbers and bounds for one instance, from one
     factorization of A (and b)."""
-    f = _factor(A.entries[None], None if b is None else as_rhs(b, A.n)[None])
+    f = _factor_one(A, b)
+    c_det = float(_det_sums(f)[0])
     # the kernels' formulas overwrite the g and x they get
     inv_entries = _inverse_entries(f._replace(g=f.g.copy()))[0]
     solve_entries = bsol = c_solve_val = None
     if b is not None:
         solve_entries = _solve_entries(f._replace(g=f.g.copy(), x=f.x.copy()))[0]
-        bsol = _bound_solve(A.pattern, f)
+        bsol = _bound_solve(f, c_det)
         c_solve_val = float(solve_entries.max())
     return ConditionReport(
         n=A.n,
         pattern_size=len(A.pattern),
-        c_det=float(_det_sums(f)[0]),
+        c_det=c_det,
         c_inv=float(inv_entries.max()),
         c_inv_entries=inv_entries,
-        bound_inv_entries=_bound_inverse(A.pattern, f),
+        bound_inv_entries=c_det + _cramer_sums(f.a[0], f.g[0], f.g[0]),
         c_solve=c_solve_val,
         c_solve_entries=solve_entries,
         bound_solve_entries=bsol,

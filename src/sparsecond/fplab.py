@@ -18,7 +18,7 @@ import numpy as np
 
 from .conditioning import (_tiled, batch_cond_solve, componentwise_distance, componentwise_ratio,
                            cond_solve)
-from .linalg import _is_lower, as_array, as_rhs, format17
+from .linalg import _is_lower, as_rhs, as_square, format17
 from .smoothed import _gather_values, _sigma_factor, sample_batch
 
 # decimal digits of slack absorbing the vanishing remainder term in the
@@ -72,15 +72,6 @@ def _round(z: np.ndarray, p: int) -> np.ndarray:
     return np.ldexp(np.rint(m * float(1 << p)), e - p)
 
 
-def _check_lower_triangular(L: np.ndarray) -> None:
-    if L.shape[0] != L.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {L.shape}")
-    if not _is_lower(L[None])[0]:
-        raise ValueError("matrix has nonzeros above the diagonal")
-    if np.any(np.diag(L) == 0.0):
-        raise ValueError("zero diagonal entry: forward substitution undefined")
-
-
 def forward_substitution(L, b, cfg: PrecisionConfig) -> np.ndarray:
     """Solve L x = b by forward substitution in emulated p-bit arithmetic.
 
@@ -88,10 +79,12 @@ def forward_substitution(L, b, cfg: PrecisionConfig) -> np.ndarray:
     accumulated left to right (j = 1 .. i-1), which pins the rounding schedule
     and makes runs reproducible. A batch of one on forward_substitution_batch.
     """
-    mat = as_array(L)
-    _check_lower_triangular(mat)
-    rhs = as_rhs(b, mat.shape[0])
-    return forward_substitution_batch(mat[None], rhs[None], cfg)[0]
+    mat = as_square(L)
+    if not _is_lower(mat[None])[0]:
+        raise ValueError("matrix has nonzeros above the diagonal")
+    if np.any(np.diag(mat) == 0.0):
+        raise ValueError("zero diagonal entry: forward substitution undefined")
+    return forward_substitution_batch(mat[None], as_rhs(b, len(mat))[None], cfg)[0]
 
 
 def forward_substitution_batch(L: np.ndarray, b: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
@@ -157,8 +150,8 @@ def backward_error_omega(L, b, x_hat) -> float:
     with r = b - L x_hat; a zero denominator contributes 0 when the residual
     component is zero and +inf otherwise.
     """
-    mat = as_array(L)
-    return float(_omegas(mat, as_rhs(b, mat.shape[0]), np.asarray(x_hat, dtype=float)))
+    mat = as_square(L)
+    return float(_omegas(mat, as_rhs(b, len(mat)), as_rhs(x_hat, len(mat))))
 
 
 def backward_error_bound(n: int, cfg: PrecisionConfig) -> float:
@@ -182,11 +175,10 @@ def lop_prediction(L, b) -> float:
     """Condition-based forecast of the digits lost by forward substitution:
     log10(2 log2 n) + log10(cond_solve(L, b)); the vanishing remainder term is
     left to the caller's slack."""
-    n = len(np.asarray(b, dtype=float))
     c = cond_solve(L, b)
     if math.isinf(c):
         return math.inf
-    return _lop_dimension_term(n) + _log10_or_neg_inf(c)
+    return _lop_dimension_term(len(b)) + _log10_or_neg_inf(c)
 
 
 def smoothed_lop_bound(n: int, sigma: float) -> float:
@@ -214,8 +206,8 @@ class SolveAccuracyReport:
 
 def solve_accuracy(L, b, cfg: PrecisionConfig) -> SolveAccuracyReport:
     """Solve L x = b at reduced precision and report the error diagnostics."""
-    mat = as_array(L)
-    rhs = np.asarray(b, dtype=float)
+    mat = as_square(L)
+    rhs = as_rhs(b, len(mat))
     x_hat = forward_substitution(mat, rhs, cfg)
     x_ref = _substitute(mat[None], rhs[None])[0]
     rel = rel_error(x_hat, x_ref)

@@ -60,9 +60,9 @@ class PatternedMatrix:
 
     @classmethod
     def dense(cls, entries) -> "PatternedMatrix":
-        """Wrap an array with the full pattern."""
-        a = np.asarray(entries, dtype=float)
-        return cls(full_pattern(a.shape[0]), a)
+        """Wrap a square array with the full pattern."""
+        a = as_square(entries)
+        return cls(full_pattern(len(a)), a)
 
     @classmethod
     def identity(cls, n: int, pattern: SparsityPattern | None = None) -> "PatternedMatrix":
@@ -71,11 +71,13 @@ class PatternedMatrix:
         return cls(pattern, np.eye(n) * pattern.mask)
 
 
-def as_array(A) -> np.ndarray:
-    """Entries of a PatternedMatrix, or the input itself as a float array."""
-    if isinstance(A, PatternedMatrix):
-        return A.entries
-    return np.asarray(A, dtype=float)
+def as_square(A) -> np.ndarray:
+    """Entries of a PatternedMatrix, or the input as a float array;
+    ValueError unless it is a square matrix."""
+    a = A.entries if isinstance(A, PatternedMatrix) else np.asarray(A, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
 
 
 def as_rhs(b, n: int) -> np.ndarray:
@@ -229,17 +231,16 @@ def _factor(stack: np.ndarray, rhs: np.ndarray | None = None) -> Factorization:
 
 def _factor_one(A, b=None) -> Factorization:
     """_factor of a square A (and b) as a stack of one."""
-    a = as_array(A)
-    if a.shape != (a.shape[0], a.shape[0]):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = as_square(A)
     return _factor(a[None], None if b is None else as_rhs(b, len(a))[None])
 
 
 def determinant(A) -> float:
     """det(A) by LAPACK, +-inf where it overflows; exactly 0.0 for input that
     is singular under the rule of _factor."""
+    a = as_square(A)
     with np.errstate(over="ignore"):
-        return float(np.linalg.det(as_array(A))) if _factor_one(A).ok[0] else 0.0
+        return float(np.linalg.det(a)) if _factor_one(a).ok[0] else 0.0
 
 
 def inverse(A):
@@ -267,9 +268,8 @@ def format17(x) -> str:
 
 def write_matrix_file(A, path) -> None:
     """Write a matrix: first line n, then n whitespace-separated rows."""
-    a = as_array(A)
-    n = a.shape[0]
-    lines = [str(n)]
+    a = as_square(A)
+    lines = [str(len(a))]
     lines += [" ".join(format17(v) for v in row) for row in a]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -277,6 +277,25 @@ class TestBounds:
             ok = np.isfinite(bs)
             assert np.all(cs[ok] <= bs[ok] * (1 + 1e-9))
 
+    @pytest.mark.parametrize("pattern_kind", ["tridiag4", "dense3"])
+    def test_same_bytes_for_a_patterned_matrix_and_its_entries(self, pattern_kind):
+        """The support is A's nonzeros: the bounds and the oracle give a
+        PatternedMatrix, its plain entries and the entries under the full
+        pattern the same bytes (the oracle perturbs the same m entries)."""
+        rng = np.random.default_rng(46)
+        pat = tridiagonal_pattern(4) if pattern_kind == "tridiag4" else full_pattern(3)
+        a = PatternedMatrix(pat, rng.standard_normal((pat.n, pat.n)) * pat.mask)
+        b = rng.standard_normal(pat.n)
+        calls = (bound_inverse_entries, lambda m: bound_inverse_entry(m, 2, 1),
+                 lambda m: bound_solve_entries(m, b), lambda m: bound_solve_entry(m, b, 2),
+                 lambda m: oracle_condition("det", m), lambda m: oracle_condition("inv", m),
+                 lambda m: oracle_condition("solve", m, b))
+        for call in calls:
+            expected = np.asarray(call(a))
+            assert np.isfinite(expected).all()
+            for same in (a.entries, PatternedMatrix.dense(a.entries)):
+                assert np.asarray(call(same)).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("pattern_kind", ["full", "tri", "tridiag"])
     def test_batched_bounds_match_explicit_minors(self, pattern_kind):
         rng = np.random.default_rng(34)
@@ -1103,6 +1122,38 @@ class TestConditionReport:
         rep = condition_report(SING)
         assert rep.singular
         assert "+inf" in rep.to_text()
+        assert condition_report(SING, [1.0, 1.0]).minor_bound_max == math.inf
+        assert condition_report(SING, [1.0, 1.0]).replacement_bound_max == math.inf
+
+    @pytest.mark.parametrize("kind", ["lower", "reducible"])
+    def test_bound_maxima_skip_structural_zeros(self, kind):
+        """Where A^-1 (or x) has a structural zero the condition is 0 and its
+        bound +inf; the maxima are over the entries with a nonzero condition."""
+        rng = np.random.default_rng(1)
+        if kind == "lower":
+            a = tri_matrix(rng, 4)
+            b = np.array([0.0, 0.0, 1.0, 1.0])
+        else:
+            # block diagonal plus one coupling entry, on the full pattern
+            entries = np.zeros((4, 4))
+            entries[:2, :2], entries[2:, 2:] = rng.standard_normal((2, 2, 2))
+            entries[0, 3] = 1.0
+            a = PatternedMatrix.dense(entries)
+            b = np.array([1.0, 0.0, 0.0, 0.0])
+        rep = condition_report(a, b)
+        text = rep.to_text()
+        for values, bounds, largest, name in (
+                (rep.c_inv_entries, rep.bound_inv_entries, rep.minor_bound_max,
+                 "minor_bound_max"),
+                (rep.c_solve_entries, rep.bound_solve_entries, rep.replacement_bound_max,
+                 "replacement_bound_max")):
+            zero = values == 0.0
+            assert zero.any() and np.isinf(bounds[zero]).all()
+            assert largest == bounds[~zero].max() < math.inf
+            assert largest >= values.max()
+            assert f"{name} = {largest:.9g}\n" in text
+        if kind == "lower":
+            assert rep.minor_bound_max == pytest.approx(13.2857411, rel=1e-8)
 
     @pytest.mark.parametrize("with_rhs", [False, True])
     def test_one_inverse_per_report(self, with_rhs, monkeypatch):
@@ -1110,14 +1161,29 @@ class TestConditionReport:
 
         def counted(stack, rhs=None):
             calls.append(len(stack))
-            return linalg._factor(stack, rhs)
+            return factor(stack, rhs)
 
         rng = np.random.default_rng(44)
         pat = tridiagonal_pattern(40)
         a = PatternedMatrix(pat, rng.standard_normal((40, 40)) * pat.mask)
         b = rng.standard_normal(40) if with_rhs else None
-        monkeypatch.setattr(conditioning, "_factor", counted)
+        factor = linalg._factor
+        monkeypatch.setattr(linalg, "_factor", counted)
         condition_report(a, b)
+        assert calls == [1]
+
+    def test_one_cond_det_per_report(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(len(f.ok))
+            return det_sums(f)
+
+        rng = np.random.default_rng(44)
+        a = PatternedMatrix.dense(rng.standard_normal((5, 5)))
+        det_sums = conditioning._det_sums
+        monkeypatch.setattr(conditioning, "_det_sums", counted)
+        condition_report(a, rng.standard_normal(5))
         assert calls == [1]
 
     def test_same_bits_as_the_public_functions(self):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from sparsecond import conditioning
 from sparsecond.conditioning import (bound_inverse_entry, bound_solve_entries, bound_solve_entry,
                                      cond_det, cond_solve_entries)
-from sparsecond.fplab import PrecisionConfig, backward_error_omega, forward_substitution
+from sparsecond.fplab import (PrecisionConfig, backward_error_omega, forward_substitution,
+                              lop_prediction, solve_accuracy)
 from sparsecond.linalg import (
     SINGULAR,
     PatternedMatrix,
@@ -236,10 +238,51 @@ def test_bound_indices_are_caller_faults(call):
     lambda: solve(np.eye(3), [1.0, 2.0]),
     lambda: forward_substitution(np.eye(3), [1.0, 2.0, 3.0, 4.0], PrecisionConfig(24)),
     lambda: backward_error_omega(np.eye(3), 1.0, [1.0, 1.0, 1.0]),
-], ids=["bound_scalar", "cond_short", "solve_short", "substitution_long", "omega_scalar"])
+    lambda: backward_error_omega(np.eye(3), [1.0, 1.0, 1.0], [1.0, 1.0]),
+], ids=["bound_scalar", "cond_short", "solve_short", "substitution_long", "omega_scalar",
+        "omega_x_hat_short"])
 def test_rhs_length_is_a_caller_fault(call):
     with pytest.raises(ValueError, match=r"rhs length \(.*\) does not match matrix dimension"):
         call()
+
+
+_B3 = np.ones(3)
+_CFG = PrecisionConfig(24)
+
+# every public function that takes a matrix, called on `a` with arguments
+# that would be valid for a 3 x 3 matrix
+_MATRIX_ARGUMENT = {
+    "cond_det": lambda a, path: cond_det(a),
+    "cond_inverse": lambda a, path: conditioning.cond_inverse(a),
+    "cond_inverse_entries": lambda a, path: conditioning.cond_inverse_entries(a),
+    "cond_inverse_entry": lambda a, path: conditioning.cond_inverse_entry(a, 1, 1),
+    "cond_solve": lambda a, path: conditioning.cond_solve(a, _B3),
+    "cond_solve_entries": lambda a, path: cond_solve_entries(a, _B3),
+    "cond_solve_entry": lambda a, path: conditioning.cond_solve_entry(a, _B3, 1),
+    "bound_inverse_entries": lambda a, path: conditioning.bound_inverse_entries(a),
+    "bound_inverse_entry": lambda a, path: bound_inverse_entry(a, 1, 1),
+    "bound_solve_entries": lambda a, path: bound_solve_entries(a, _B3),
+    "bound_solve_entry": lambda a, path: bound_solve_entry(a, _B3, 1),
+    "oracle_condition": lambda a, path: conditioning.oracle_condition("det", a),
+    "determinant": lambda a, path: determinant(a),
+    "inverse": lambda a, path: inverse(a),
+    "solve": lambda a, path: solve(a, _B3),
+    "forward_substitution": lambda a, path: forward_substitution(a, _B3, _CFG),
+    "backward_error_omega": lambda a, path: backward_error_omega(a, _B3, _B3),
+    "lop_prediction": lambda a, path: lop_prediction(a, _B3),
+    "solve_accuracy": lambda a, path: solve_accuracy(a, _B3, _CFG),
+    "write_matrix_file": lambda a, path: write_matrix_file(a, path),
+    "PatternedMatrix.dense": lambda a, path: PatternedMatrix.dense(a),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=str)
+@pytest.mark.parametrize("name", sorted(_MATRIX_ARGUMENT))
+def test_a_matrix_argument_must_be_square(name, shape, tmp_path):
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match="square"):
+        _MATRIX_ARGUMENT[name](np.ones(shape), path)
+    assert not path.exists()
 
 
 def test_matrix_file_round_trip(tmp_path):
