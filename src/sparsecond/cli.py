@@ -5,7 +5,8 @@ read a flat key=value spec file and are pure functions of (spec, seed): reruns
 produce byte-identical CSV output, independent of the worker count.
 
 Exit codes: 0 success, 1 computed but degenerate (singular input),
-2 invalid input or spec, 3 dimension mismatch or a failed theoretical check.
+2 invalid input or spec, 3 a failed theoretical check: a stochastic command
+exits 3 exactly when its result's passed() is false.
 """
 
 from __future__ import annotations
@@ -20,17 +21,6 @@ from . import fplab, smoothed
 from .conditioning import condition_report
 from .linalg import PatternedMatrix, read_matrix_file, read_vector_file
 from .patterns import NAMED_PATTERNS, SparsityPattern, read_pattern_file
-
-_STOCHASTIC_KEYS = {
-    "tail": {"pattern", "n", "center", "center_rhs", "sigma", "quantity",
-             "thresholds", "samples", "seed"},
-    "logexp": {"pattern", "n", "center", "center_rhs", "sigma", "quantity",
-               "samples", "seed", "beta"},
-    "prop4": {"mu", "sigma", "thresholds", "samples", "seed"},
-    "accuracy": {"pattern", "n", "center", "center_rhs", "sigma",
-                 "precision_bits", "samples", "seed"},
-}
-
 
 class SpecError(Exception):
     """Invalid spec file or command arguments (exit code 2)."""
@@ -80,13 +70,18 @@ def _read_file(reader, path, what: str = ""):
         raise SpecError(f"{what}{exc}") from exc
 
 
+def _parse_thresholds(text: str) -> list:
+    """Comma- or space-separated threshold values."""
+    try:
+        return [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise SpecError(f"bad thresholds: {text!r}") from exc
+
+
 def _spec_thresholds(spec) -> list:
     if "thresholds" not in spec:
         raise SpecError("missing required key 'thresholds'")
-    try:
-        return [float(tok) for tok in spec["thresholds"].replace(",", " ").split()]
-    except ValueError as exc:
-        raise SpecError(f"bad thresholds: {spec['thresholds']!r}") from exc
+    return _parse_thresholds(spec["thresholds"])
 
 
 def _resolve_pattern(spec) -> SparsityPattern:
@@ -144,11 +139,7 @@ def _build_model(spec, need_rhs: bool) -> smoothed.GaussianModel:
     center = _resolve_center(spec, pattern)
     sigma = _spec_number(spec, "sigma")
     rhs = _resolve_center_rhs(spec, pattern.n, required=need_rhs)
-    try:
-        return smoothed.GaussianModel(pattern=pattern, center=center, sigma=sigma,
-                                      center_rhs=rhs)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+    return smoothed.GaussianModel(pattern=pattern, center=center, sigma=sigma, center_rhs=rhs)
 
 
 def _resolve_seed(spec, args) -> int:
@@ -163,37 +154,15 @@ def _resolve_seed(spec, args) -> int:
     return seed
 
 
-def _write_out(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_cond(args) -> int:
     entries = _read_file(read_matrix_file, args.matrix)
-    if args.pattern:
-        pattern = _read_file(read_pattern_file, args.pattern)
-        if pattern.n != entries.shape[0]:
-            print(f"error: pattern n={pattern.n} does not match matrix n={entries.shape[0]}",
-                  file=sys.stderr)
-            return 3
-    else:
-        pattern = None
-    rhs = None
-    if args.rhs:
-        rhs = _read_file(read_vector_file, args.rhs)
-        if len(rhs) != entries.shape[0]:
-            print(f"error: rhs length {len(rhs)} does not match matrix n={entries.shape[0]}",
-                  file=sys.stderr)
-            return 3
-    try:
-        mat = (PatternedMatrix(pattern, entries) if pattern is not None
-               else PatternedMatrix.dense(entries))
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+    pattern = _read_file(read_pattern_file, args.pattern) if args.pattern else None
+    rhs = _read_file(read_vector_file, args.rhs) if args.rhs else None
+    mat = (PatternedMatrix(pattern, entries) if pattern is not None
+           else PatternedMatrix.dense(entries))
     report = condition_report(mat, rhs)
     sys.stdout.write(report.to_text(entries=args.entries))
     if args.csv:
@@ -202,56 +171,63 @@ def cmd_cond(args) -> int:
     return 1 if report.singular else 0
 
 
-def cmd_tail(args) -> int:
-    spec = parse_spec_file(args.spec, _STOCHASTIC_KEYS["tail"])
+def _run_tail(spec, args):
     quantity = spec.get("quantity", "det")
     model = _build_model(spec, need_rhs=(quantity == "solve"))
-    estimate = smoothed.estimate_tail(
+    return smoothed.estimate_tail(
         model, quantity, _spec_thresholds(spec),
         _spec_number(spec, "samples", int), _resolve_seed(spec, args), workers=args.workers)
-    sys.stdout.write(estimate.to_report_text())
-    _write_out(args, estimate.to_csv_text())
-    return 3 if "FAIL" in estimate.verdicts() else 0
 
 
-def cmd_logexp(args) -> int:
-    spec = parse_spec_file(args.spec, _STOCHASTIC_KEYS["logexp"])
+def _run_logexp(spec, args):
     quantity = spec.get("quantity", "det")
     model = _build_model(spec, need_rhs=(quantity == "solve"))
-    estimate = smoothed.estimate_logexp(
+    return smoothed.estimate_logexp(
         model, quantity, _spec_number(spec, "beta", default=math.e),
         _spec_number(spec, "samples", int), _resolve_seed(spec, args), workers=args.workers)
-    sys.stdout.write(estimate.to_report_text())
-    _write_out(args, estimate.to_csv_text())
-    return 3 if estimate.verdict() == "FAIL" else 0
 
 
-def cmd_prop4(args) -> int:
-    spec = parse_spec_file(args.spec, _STOCHASTIC_KEYS["prop4"])
-    estimate = smoothed.verify_ratio_tail(
+def _run_prop4(spec, args):
+    return smoothed.verify_ratio_tail(
         _spec_number(spec, "mu"), _spec_number(spec, "sigma"),
         _spec_thresholds(spec), _spec_number(spec, "samples", int),
         _resolve_seed(spec, args), workers=args.workers)
-    sys.stdout.write(estimate.to_report_text())
-    _write_out(args, estimate.to_csv_text())
-    return 3 if "FAIL" in estimate.verdicts() else 0
 
 
-def cmd_accuracy(args) -> int:
-    spec = parse_spec_file(args.spec, _STOCHASTIC_KEYS["accuracy"])
+def _run_accuracy(spec, args):
     spec.setdefault("pattern", "lower_triangular")
     spec.setdefault("center_rhs", "zero")
     model = _build_model(spec, need_rhs=True)
-    try:
-        cfg = fplab.PrecisionConfig(_spec_number(spec, "precision_bits", int))
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-    summary = fplab.run_accuracy_experiment(
-        model, cfg, _spec_number(spec, "samples", int), _resolve_seed(spec, args),
-        workers=args.workers)
-    sys.stdout.write(summary.to_report_text())
-    _write_out(args, summary.to_csv_text())
-    return 0 if summary.passed() else 3
+    return fplab.run_accuracy_experiment(
+        model, fplab.PrecisionConfig(_spec_number(spec, "precision_bits", int)),
+        _spec_number(spec, "samples", int), _resolve_seed(spec, args), workers=args.workers)
+
+
+# command -> (spec keys, run(spec, args) -> result, help); every result has
+# passed(), to_report_text() and to_csv_text()
+_EXPERIMENTS = {
+    "tail": ({"pattern", "n", "center", "center_rhs", "sigma", "quantity",
+              "thresholds", "samples", "seed"},
+             _run_tail, "Monte Carlo tail frequencies vs the theoretical bound"),
+    "logexp": ({"pattern", "n", "center", "center_rhs", "sigma", "quantity",
+                "samples", "seed", "beta"},
+               _run_logexp, "Monte Carlo log-expectation vs the theoretical bound"),
+    "prop4": ({"mu", "sigma", "thresholds", "samples", "seed"},
+              _run_prop4, "tail of |X| > t|X+1| for Gaussian X vs its bound"),
+    "accuracy": ({"pattern", "n", "center", "center_rhs", "sigma",
+                  "precision_bits", "samples", "seed"},
+                 _run_accuracy, "reduced-precision forward-substitution accuracy"),
+}
+
+
+def cmd_experiment(args) -> int:
+    keys, run, _ = _EXPERIMENTS[args.command]
+    result = run(parse_spec_file(args.spec, keys), args)
+    sys.stdout.write(result.to_report_text())
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(result.to_csv_text())
+    return 0 if result.passed() else 3
 
 
 def cmd_bounds(args) -> int:
@@ -267,28 +243,25 @@ def cmd_bounds(args) -> int:
         raise SpecError(f"sigma must be positive, got {sigma}")
     beta = args.beta
     s_size = len(NAMED_PATTERNS[args.pattern](n))
-    thresholds = [float(tok) for tok in args.t.replace(",", " ").split()] if args.t else []
+    thresholds = _parse_thresholds(args.t or "")
     triangular = args.pattern == "lower_triangular"
     lines = [f"bounds: pattern={args.pattern} n={n} S_size={s_size} "
              f"sigma={'inf' if math.isinf(sigma) else f'{sigma:g}'} beta={beta:g}"]
-    try:
-        for t in thresholds:
-            cells = [f"t={t:<12g}",
-                     f"det_tail={smoothed.det_tail_bound(s_size, sigma, t):<12.6g}",
-                     f"inv_tail={smoothed.inverse_tail_bound(n, s_size, sigma, t):<12.6g}",
-                     f"solve_tail={smoothed.solve_tail_bound(n, s_size, sigma, t):<12.6g}"]
-            if triangular:
-                cells.append(f"triangular_tail={smoothed.triangular_tail_bound(n, sigma, t):.6g}")
-            lines.append("  " + " ".join(cells))
-        cells = [f"logexp(beta={beta:g})",
-                 f"det={smoothed.det_logexp_bound(s_size, sigma, beta):<12.6g}",
-                 f"inv={smoothed.inverse_logexp_bound(n, s_size, sigma, beta):<12.6g}",
-                 f"solve={smoothed.solve_logexp_bound(n, s_size, sigma, beta):<12.6g}"]
+    for t in thresholds:
+        cells = [f"t={t:<12g}",
+                 f"det_tail={smoothed.det_tail_bound(s_size, sigma, t):<12.6g}",
+                 f"inv_tail={smoothed.inverse_tail_bound(n, s_size, sigma, t):<12.6g}",
+                 f"solve_tail={smoothed.solve_tail_bound(n, s_size, sigma, t):<12.6g}"]
         if triangular:
-            cells.append(f"triangular={smoothed.triangular_logexp_bound(n, sigma, beta):.6g}")
+            cells.append(f"triangular_tail={smoothed.triangular_tail_bound(n, sigma, t):.6g}")
         lines.append("  " + " ".join(cells))
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+    cells = [f"logexp(beta={beta:g})",
+             f"det={smoothed.det_logexp_bound(s_size, sigma, beta):<12.6g}",
+             f"inv={smoothed.inverse_logexp_bound(n, s_size, sigma, beta):<12.6g}",
+             f"solve={smoothed.solve_logexp_bound(n, s_size, sigma, beta):<12.6g}"]
+    if triangular:
+        cells.append(f"triangular={smoothed.triangular_logexp_bound(n, sigma, beta):.6g}")
+    lines.append("  " + " ".join(cells))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -309,18 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write a one-row CSV file")
     p.set_defaults(func=cmd_cond)
 
-    for name, func, help_text in (
-            ("tail", cmd_tail, "Monte Carlo tail frequencies vs the theoretical bound"),
-            ("logexp", cmd_logexp, "Monte Carlo log-expectation vs the theoretical bound"),
-            ("prop4", cmd_prop4, "tail of |X| > t|X+1| for Gaussian X vs its bound"),
-            ("accuracy", cmd_accuracy, "reduced-precision forward-substitution accuracy")):
+    for name, (_, _, help_text) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--spec", required=True, help="flat key=value spec file")
         p.add_argument("--seed", type=int, help="override the spec seed")
         p.add_argument("--out", help="write the CSV here")
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes (never changes results)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("bounds", help="print theoretical bound values")
     p.add_argument("--n", type=int, required=True)

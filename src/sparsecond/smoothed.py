@@ -314,7 +314,15 @@ class TailEstimate:
     mu: float = math.nan  # only used by the ratio experiment
 
     def verdicts(self) -> tuple:
-        """PASS / VACUOUS / FAIL per threshold; bounds >= 1 carry no information."""
+        """PASS / VACUOUS / FAIL per threshold; bounds >= 1 carry no information.
+
+        A threshold passes when the upper end of the two-sided 99% Wilson
+        interval for its exceedance frequency (Wilson, JASA 22, 1927) is at
+        most the bound. Each threshold is tested on its own, with no
+        correction across thresholds; a statement for all thresholds at once
+        would need a simultaneous band such as DKW (Massart, Ann. Probab. 18,
+        1990).
+        """
         out = []
         for w, b in zip(self.wilson_upper, self.theoretical):
             if b >= 1.0:
@@ -324,6 +332,10 @@ class TailEstimate:
             else:
                 out.append("FAIL")
         return tuple(out)
+
+    def passed(self) -> bool:
+        """The run's verdict: no threshold FAILs under verdicts(); VACUOUS passes."""
+        return "FAIL" not in self.verdicts()
 
     CSV_HEADER = ("quantity,n,S_size,sigma,mu,t,exceed_count,empirical,"
                   "wilson_upper99,theoretical,samples,seed,singular_count")
@@ -425,10 +437,10 @@ class LogExpectationEstimate:
         ])
         return self.CSV_HEADER + "\n" + row + "\n"
 
-    def verdict(self) -> str:
-        """PASS when the mean is at most the bound; a NaN mean (no finite
-        sample) fails."""
-        return "PASS" if self.mean <= self.theoretical else "FAIL"
+    def passed(self) -> bool:
+        """The run's verdict: the raw sample mean is at most the bound, with no
+        standard-error allowance; a NaN mean (no finite sample) fails."""
+        return self.mean <= self.theoretical
 
     def to_report_text(self) -> str:
         return (
@@ -437,7 +449,8 @@ class LogExpectationEstimate:
             f"samples={self.samples} seed={self.seed}\n"
             f"  mean log_beta(cond) = {self.mean:.6g} (std error {self.std_error:.3g}, "
             f"{self.used_samples} finite samples, {self.singular_count} singular)\n"
-            f"  theoretical bound   = {self.theoretical:.6g}  {self.verdict()}\n"
+            f"  theoretical bound   = {self.theoretical:.6g}  "
+            f"{'PASS' if self.passed() else 'FAIL'}\n"
         )
 
 

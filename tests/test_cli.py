@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from sparsecond import fplab, smoothed
 from sparsecond.cli import main
-from sparsecond.linalg import write_matrix_file, write_vector_file
+from sparsecond.linalg import PatternedMatrix, write_matrix_file, write_vector_file
 from sparsecond.patterns import lower_triangular_pattern, write_pattern_file
 
 
@@ -46,10 +49,15 @@ class TestCond:
         bad.write_text("2\n1 2 3\n")
         assert main(["cond", str(bad)]) == 2
 
-    def test_dimension_mismatch_exits_3(self, identity3, tmp_path, capsys):
+    def test_dimension_mismatch_exits_2(self, identity3, tmp_path, capsys):
         rhs = tmp_path / "b.txt"
         write_vector_file(np.ones(2), rhs)
-        assert main(["cond", identity3, "--rhs", str(rhs)]) == 3
+        assert main(["cond", identity3, "--rhs", str(rhs)]) == 2
+        m = tmp_path / "m.txt"
+        write_matrix_file(np.eye(2), m)
+        patfile = tmp_path / "pat.txt"
+        write_pattern_file(lower_triangular_pattern(3), patfile)
+        assert main(["cond", str(m), "--pattern", str(patfile)]) == 2
 
     def test_pattern_file_and_entries(self, tmp_path, capsys):
         pat = lower_triangular_pattern(2)
@@ -237,3 +245,59 @@ class TestBounds:
 
     def test_out_of_domain_exits_2(self, capsys):
         assert main(["bounds", "--n", "2", "--sigma", "1", "--t", "5"]) == 2
+
+    def test_bad_thresholds_exit_2_as_in_a_spec(self, capsys):
+        assert main(["bounds", "--n", "2", "--sigma", "1", "--t", "20,x"]) == 2
+        assert "bad thresholds: '20,x'" in capsys.readouterr().err
+
+
+def _lower_model(n, rhs):
+    pattern = lower_triangular_pattern(n)
+    return smoothed.GaussianModel(pattern=pattern,
+                                  center=PatternedMatrix(pattern, np.zeros((n, n))),
+                                  sigma=1.0, center_rhs=np.zeros(n) if rhs else None)
+
+
+# command -> (spec, the same run through the library, its result class)
+EXPERIMENTS = {
+    "tail": (dict(pattern="lower_triangular", n=3, center="zero", sigma=1,
+                  quantity="det", thresholds="50,100", samples=400, seed=21),
+             lambda: smoothed.estimate_tail(_lower_model(3, False), "det", [50.0, 100.0],
+                                            400, 21),
+             smoothed.TailEstimate),
+    "logexp": (dict(pattern="lower_triangular", n=4, center="zero", center_rhs="zero",
+                    sigma=1, quantity="solve", samples=400, seed=22),
+               lambda: smoothed.estimate_logexp(_lower_model(4, True), "solve", math.e,
+                                                400, 22),
+               smoothed.LogExpectationEstimate),
+    "prop4": (dict(mu=0, sigma=1, thresholds="2,10", samples=10000, seed=23),
+              lambda: smoothed.verify_ratio_tail(0.0, 1.0, [2.0, 10.0], 10000, 23),
+              smoothed.TailEstimate),
+    "accuracy": (dict(pattern="lower_triangular", n=4, center="zero", center_rhs="zero",
+                      sigma=1, precision_bits=24, samples=300, seed=24),
+                 lambda: fplab.run_accuracy_experiment(_lower_model(4, True),
+                                                       fplab.PrecisionConfig(24), 300, 24),
+                 fplab.AccuracySummary),
+}
+
+
+@pytest.mark.parametrize("command", list(EXPERIMENTS))
+class TestOneDecisionPerCommand:
+    """Report, CSV and exit code of a stochastic command all come from its result."""
+
+    def test_cli_prints_writes_and_exits_what_the_result_says(self, command, tmp_path,
+                                                              capsys):
+        keys, library_run, _ = EXPERIMENTS[command]
+        spec = write_spec(tmp_path / "s.txt", **keys)
+        out = tmp_path / "out.csv"
+        code = main([command, "--spec", spec, "--out", str(out)])
+        result = library_run()
+        assert capsys.readouterr().out == result.to_report_text()
+        assert out.read_text() == result.to_csv_text()
+        assert code == (0 if result.passed() else 3)
+
+    def test_a_failed_verdict_exits_3(self, command, tmp_path, capsys, monkeypatch):
+        keys, _, result_class = EXPERIMENTS[command]
+        monkeypatch.setattr(result_class, "passed", lambda self: False)
+        assert main([command, "--spec", write_spec(tmp_path / "s.txt", **keys)]) == 3
+        capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -391,3 +392,22 @@ class TestSerialization:
         verdicts = est.verdicts()
         assert verdicts[0] == "VACUOUS"  # bound at t=11 is 100^2/1 * ... >> 1
         assert verdicts[1] in ("PASS", "FAIL")
+
+    def test_passed_is_the_verdict_the_report_prints(self):
+        est = estimate_tail(make_model(), "det", [11.0, 5000.0], 500, seed=19)
+        for wilson, theoretical, verdicts, passed in (
+                ((1.0, 0.1), (5.0, 0.2), ("VACUOUS", "PASS"), True),
+                ((1.0, 0.2), (5.0, 0.2), ("VACUOUS", "PASS"), True),
+                ((1.0, 0.3), (5.0, 0.2), ("VACUOUS", "FAIL"), False),
+                ((1.0, 0.3), (5.0, 1.0), ("VACUOUS", "VACUOUS"), True)):
+            case = dataclasses.replace(est, wilson_upper=wilson, theoretical=theoretical)
+            assert case.verdicts() == verdicts
+            assert case.passed() is passed
+            assert ("FAIL" in case.to_report_text()) is not passed
+        le = estimate_logexp(make_model(), "det", 2.0, 500, seed=18)
+        bound = le.theoretical
+        for mean, passed in ((bound, True), (math.nextafter(bound, math.inf), False),
+                             (math.nan, False)):
+            case = dataclasses.replace(le, mean=mean)
+            assert case.passed() is passed
+            assert case.to_report_text().endswith("PASS\n" if passed else "FAIL\n")
