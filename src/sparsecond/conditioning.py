@@ -407,6 +407,11 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
 _TILE_BYTES = 1 << 21
 
 
+def _tile_members(n: int) -> int:
+    """Members per tile of _tiled and of smoothed._tile_draws at dimension n."""
+    return max(1, _TILE_BYTES // max(8 * n * n, 1))
+
+
 def _tiled(kernel):
     """kernel(stack, *operands, **options) on consecutive tiles of the members
     of the (M, n, n) stack and of its per-member operands, with the options as
@@ -414,8 +419,7 @@ def _tiled(kernel):
     bit depends on the tile size; a stack that fits in one tile is passed on."""
     @functools.wraps(kernel)
     def run(stack, *operands, **options):
-        count, n = len(stack), stack.shape[-1]
-        tile = max(1, _TILE_BYTES // max(8 * n * n, 1))
+        count, tile = len(stack), _tile_members(stack.shape[-1])
         if count <= tile:
             return kernel(stack, *operands, **options)
         out = None

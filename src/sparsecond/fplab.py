@@ -19,7 +19,7 @@ import numpy as np
 from .conditioning import (_tiled, batch_cond_solve, componentwise_distance, componentwise_ratio,
                            cond_solve)
 from .linalg import _is_lower, as_rhs, as_square, format17
-from .smoothed import _gather_values, _sigma_factor, sample_batch
+from .smoothed import _gather_values, _sigma_factor, _tile_draws
 
 # decimal digits of slack absorbing the vanishing remainder term in the
 # loss-of-precision decomposition
@@ -227,8 +227,8 @@ def solve_accuracy(L, b, cfg: PrecisionConfig) -> SolveAccuracyReport:
 
 def _chunk_accuracy_values(args) -> np.ndarray:
     model, cfg, seed, chunk_index, count = args
-    stack, rhs = sample_batch(model, seed, chunk_index, count)
-    return _accuracy_values(stack, rhs, cfg=cfg)
+    return np.concatenate([_accuracy_values(*tile, cfg=cfg)
+                           for tile in _tile_draws(model, seed, chunk_index, count)])
 
 
 @_tiled

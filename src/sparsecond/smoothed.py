@@ -2,9 +2,10 @@
 log-expectation bounds, and seeded Monte Carlo estimators that compare the two.
 
 Sampling is counter-based: sample i of a run lives in chunk i // CHUNK_SIZE,
-and each chunk owns an independent Philox stream derived from (seed, chunk).
-Results are therefore bit-identical for a given (model, samples, seed)
-regardless of how chunks are scheduled across workers.
+and each chunk owns an independent Philox stream derived from (seed, chunk),
+which the estimators draw one kernel tile at a time. Results are therefore
+bit-identical for a given (model, samples, seed) regardless of how chunks are
+scheduled across workers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .conditioning import batch_cond_det, batch_cond_inverse, batch_cond_solve, componentwise_ratio
+from .conditioning import (_tile_members, batch_cond_det, batch_cond_inverse, batch_cond_solve,
+                           componentwise_ratio)
 from .linalg import PatternedMatrix, _is_lower, format17
 from .patterns import SparsityPattern, is_admissible
 
@@ -91,16 +93,18 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def sample_batch(model: GaussianModel, seed: int, chunk_index: int, count: int):
-    """Draw `count` samples of chunk `chunk_index` as dense stacks.
+    """Draw `count` samples of chunk `chunk_index` as dense stacks: (A, b) with
+    A of shape (count, n, n) and b None when the model carries no right-hand
+    side. _tile_draws draws the same bits one kernel tile at a time."""
+    return _draw(model, _chunk_generator(seed, chunk_index), count)
 
-    Returns (A, b) where A has shape (count, n, n) and b is None when the
-    model carries no right-hand side. The normals are scaled and shifted in
+
+def _draw(model: GaussianModel, rng: np.random.Generator, count: int):
+    """The next `count` samples of rng. The normals are scaled and shifted in
     place in their draw buffer, then copied into a zeroed stack one slice per
     run of consecutive flat indices of the pattern (one run for the full
-    pattern, n for the lower-triangular one). b is an array of its own, so the
-    draw buffer is freed when this returns.
-    """
-    rng = _chunk_generator(seed, chunk_index)
+    pattern, n for the lower-triangular one); b owns its data, so the draw
+    buffer is freed on return."""
     n = model.n
     m = len(model.pattern)
     with_rhs = model.center_rhs is not None
@@ -114,6 +118,14 @@ def sample_batch(model: GaussianModel, seed: int, chunk_index: int, count: int):
         stack[:, flat:flat + length] = z[:, first:first + length]
     rhs = model.center_rhs + z[:, m:] if with_rhs else None
     return stack.reshape(count, n, n), rhs
+
+
+def _tile_draws(model: GaussianModel, seed: int, chunk_index: int, count: int):
+    """sample_batch(model, seed, chunk_index, count) as (A, b) tiles of
+    _tile_members(n) draws in turn: standard_normal fills C order from the
+    one stream, so the tiles hold the chunk's bits."""
+    rng, tile = _chunk_generator(seed, chunk_index), _tile_members(model.n)
+    return (_draw(model, rng, min(tile, count - i)) for i in range(0, count, tile))
 
 
 def sample(model: GaussianModel, seed: int):
@@ -253,12 +265,9 @@ def wilson_upper_99(successes: int, trials: int) -> float:
 
 def _chunk_condition_values(args) -> np.ndarray:
     model, quantity, seed, chunk_index, count = args
-    stack, rhs = sample_batch(model, seed, chunk_index, count)
-    if quantity == "det":
-        return batch_cond_det(stack)
-    if quantity == "inv":
-        return batch_cond_inverse(stack)
-    return batch_cond_solve(stack, rhs)
+    kernel = {"det": lambda a, b: batch_cond_det(a), "inv": lambda a, b: batch_cond_inverse(a),
+              "solve": batch_cond_solve}[quantity]
+    return np.concatenate([kernel(*tile) for tile in _tile_draws(model, seed, chunk_index, count)])
 
 
 def _chunk_ratio_values(args) -> np.ndarray:
@@ -266,12 +275,6 @@ def _chunk_ratio_values(args) -> np.ndarray:
     rng = _chunk_generator(seed, chunk_index)
     x = mu + varsigma * rng.standard_normal(count)
     return componentwise_ratio(x, x + 1.0)
-
-
-def _chunk_jobs(samples: int):
-    full, rem = divmod(samples, CHUNK_SIZE)
-    sizes = [CHUNK_SIZE] * full + ([rem] if rem else [])
-    return list(enumerate(sizes))
 
 
 def _map_chunks(fn, jobs, workers: int):
@@ -287,7 +290,12 @@ def _map_chunks(fn, jobs, workers: int):
 
 
 def _gather_values(fn, params, samples: int, seed: int, workers: int) -> np.ndarray:
-    jobs = [params + (seed, idx, size) for idx, size in _chunk_jobs(samples)]
+    # Freeing this untouched 16 MiB block raises glibc's mmap threshold (128 KiB)
+    # to 16 MiB and its trim threshold to 32 MiB, here and in forked workers, so
+    # each tile's 2 MiB arrays reuse heap pages instead of faulting in new ones.
+    np.empty(2 << 20)
+    jobs = [params + (seed, idx, min(CHUNK_SIZE, samples - start))
+            for idx, start in enumerate(range(0, samples, CHUNK_SIZE))]
     return np.concatenate(_map_chunks(fn, jobs, workers))
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsecond import smoothed
+from sparsecond import conditioning, fplab, smoothed
 from sparsecond.linalg import PatternedMatrix
 from sparsecond.patterns import (full_pattern, lower_triangular_pattern, pattern_from_mask,
                                  tridiagonal_pattern)
@@ -174,6 +174,89 @@ class TestSamplingByRuns:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * stack.nbytes
+
+
+def _model_on(name, n, sigma, with_rhs):
+    pattern = SAMPLING_PATTERNS[name](n)
+    rng = np.random.default_rng(23)
+    center = PatternedMatrix(pattern, rng.uniform(-1.0, 1.0, (n, n)) * pattern.mask)
+    rhs = rng.uniform(-1.0, 1.0, n) if with_rhs else None
+    return GaussianModel(pattern=pattern, center=center, sigma=sigma, center_rhs=rhs)
+
+
+def _tiles_of(monkeypatch, n, members):
+    """Kernel tiles of `members` draws at dimension n; None keeps the default.
+    Returns the members per tile."""
+    if members is not None:
+        monkeypatch.setattr(conditioning, "_TILE_BYTES", members * 8 * n * n)
+    return conditioning._tile_members(n)
+
+
+class TestTileStream:
+    """A chunk is drawn from its one generator one kernel tile at a time, and
+    each tile goes straight to the kernels; every bit is that of
+    sample_batch's whole chunk."""
+
+    @pytest.mark.parametrize("members", [1, 7, None])
+    @pytest.mark.parametrize("sigma", [0.75, 1e308])
+    @pytest.mark.parametrize("with_rhs", [False, True])
+    @pytest.mark.parametrize("name", sorted(SAMPLING_PATTERNS))
+    def test_tiles_are_the_chunk_bit_for_bit(self, name, with_rhs, sigma, members, monkeypatch):
+        n = 12
+        model = _model_on(name, n, sigma, with_rhs)
+        tile = _tiles_of(monkeypatch, n, members)
+        for count in sorted({1, tile - 1, tile, tile + 1, 4096} - {0}):
+            tiles = list(smoothed._tile_draws(model, 6, 2, count))
+            stack, b = sample_batch(model, seed=6, chunk_index=2, count=count)
+            sizes = [len(a) for a, _ in tiles]
+            assert sum(sizes) == count and set(sizes[:-1]) <= {tile} and sizes[-1] <= tile
+            got = np.concatenate([a for a, _ in tiles])
+            assert got.shape == stack.shape and got.tobytes() == stack.tobytes()
+            if with_rhs:
+                got = np.concatenate([r for _, r in tiles])
+                assert got.shape == b.shape and got.tobytes() == b.tobytes()
+            else:
+                assert b is None and all(r is None for _, r in tiles)
+
+    @pytest.mark.parametrize("members,count", [(7, 300), (None, 4096)])
+    @pytest.mark.parametrize("quantity", ["det", "inv", "solve"])
+    @pytest.mark.parametrize("name", sorted(SAMPLING_PATTERNS))
+    def test_condition_chunk_is_the_kernel_on_the_whole_chunk(self, name, quantity, members,
+                                                              count, monkeypatch):
+        n = 12
+        model = _model_on(name, n, 0.75, True)
+        stack, rhs = sample_batch(model, seed=5, chunk_index=1, count=count)
+        expected = {"det": lambda: smoothed.batch_cond_det(stack),
+                    "inv": lambda: smoothed.batch_cond_inverse(stack),
+                    "solve": lambda: smoothed.batch_cond_solve(stack, rhs)}[quantity]()
+        assert _tiles_of(monkeypatch, n, members) < count
+        got = smoothed._chunk_condition_values((model, quantity, 5, 1, count))
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("members,count", [(7, 300), (None, 4096)])
+    def test_accuracy_chunk_is_the_kernel_on_the_whole_chunk(self, members, count,
+                                                             monkeypatch):
+        n = 12
+        model = _model_on("lower_triangular", n, 0.75, True)
+        cfg = fplab.PrecisionConfig(24)
+        stack, rhs = sample_batch(model, seed=5, chunk_index=1, count=count)
+        expected = fplab._accuracy_values(stack, rhs, cfg=cfg)
+        assert _tiles_of(monkeypatch, n, members) < count
+        got = fplab._chunk_accuracy_values((model, cfg, 5, 1, count))
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_chunk_peak_memory_is_one_tile_and_its_kernel(self):
+        # a tile of 291 draws is 0.071 of the chunk's stack; the peak is the
+        # drawn tile and the kernel's prescaled copy, inverse and |A| of it,
+        # about 0.30 of the stack (1.59 when the chunk was drawn whole)
+        model = make_model(n=30, rhs=np.ones(30))
+        tracemalloc.start()
+        try:
+            smoothed._chunk_condition_values((model, "solve", 8, 0, 4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.32 * (4096 * 30 * 30 * 8)
 
 
 class TestBoundArithmetic:
