@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the spec seed")
         p.add_argument("--out", help="write the CSV here")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (never changes results)")
+                       help="worker processes, at most one per 4096-draw chunk "
+                            "(never changes results)")
         p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("bounds", help="print theoretical bound values")

@@ -408,7 +408,7 @@ _TILE_BYTES = 1 << 21
 
 
 def _tile_members(n: int) -> int:
-    """Members per tile of _tiled and of smoothed._tile_draws at dimension n."""
+    """Members per tile of _tiled and of smoothed._tiles at dimension n."""
     return max(1, _TILE_BYTES // max(8 * n * n, 1))
 
 

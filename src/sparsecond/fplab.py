@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import (_tiled, batch_cond_solve, componentwise_distance, componentwise_ratio,
-                           cond_solve)
+from .conditioning import _tiled, batch_cond_solve, componentwise_distance, componentwise_ratio
 from .linalg import _is_lower, as_rhs, as_square, format17
-from .smoothed import _gather_values, _sigma_factor, _tile_draws
+from .smoothed import _check_run, _gather_values, _sigma_factor
 
 # decimal digits of slack absorbing the vanishing remainder term in the
 # loss-of-precision decomposition
@@ -160,12 +159,6 @@ def backward_error_bound(n: int, cfg: PrecisionConfig) -> float:
     return 2.0 * math.log2(n) * cfg.eps_mach if n > 1 else 0.0
 
 
-def _log10_or_neg_inf(x: float) -> float:
-    if x <= 0.0:
-        return -math.inf
-    return math.log10(x)
-
-
 def _lop_dimension_term(n: int) -> float:
     """log10(2 log2 n), the dimension term of the LoP prediction; -inf for n <= 1."""
     return math.log10(2.0 * math.log2(n)) if n > 1 else -math.inf
@@ -174,11 +167,17 @@ def _lop_dimension_term(n: int) -> float:
 def lop_prediction(L, b) -> float:
     """Condition-based forecast of the digits lost by forward substitution:
     log10(2 log2 n) + log10(cond_solve(L, b)); the vanishing remainder term is
-    left to the caller's slack."""
-    c = cond_solve(L, b)
-    if math.isinf(c):
-        return math.inf
-    return _lop_dimension_term(len(b)) + _log10_or_neg_inf(c)
+    left to the caller's slack. A batch of one."""
+    mat = as_square(L)
+    return float(_lop_predictions(mat[None], as_rhs(b, len(mat))[None])[0])
+
+
+def _lop_predictions(stack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lop_prediction of every member: +inf where cond_solve is, even at n = 1."""
+    cond = batch_cond_solve(stack, rhs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pred = _lop_dimension_term(stack.shape[-1]) + np.log10(cond)
+    return np.where(np.isinf(cond), math.inf, pred)
 
 
 def smoothed_lop_bound(n: int, sigma: float) -> float:
@@ -225,12 +224,6 @@ def solve_accuracy(L, b, cfg: PrecisionConfig) -> SolveAccuracyReport:
 # ---------------------------------------------------------------------------
 # smoothed accuracy experiment
 
-def _chunk_accuracy_values(args) -> np.ndarray:
-    model, cfg, seed, chunk_index, count = args
-    return np.concatenate([_accuracy_values(*tile, cfg=cfg)
-                           for tile in _tile_draws(model, seed, chunk_index, count)])
-
-
 @_tiled
 def _accuracy_values(stack: np.ndarray, rhs: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
     """(rel_error, LoP, omega, LoP prediction) of every draw, one row each,
@@ -243,10 +236,7 @@ def _accuracy_values(stack: np.ndarray, rhs: np.ndarray, cfg: PrecisionConfig) -
         rel = componentwise_ratio(x_hat - x_ref, x_ref).max(axis=1)
     lop = _lops(rel, cfg.eps_mach)
     omega = _omegas(stack, rhs, x_hat)
-    cond = batch_cond_solve(stack, rhs)
-    with np.errstate(divide="ignore"):
-        pred = _lop_dimension_term(stack.shape[-1]) + np.log10(cond)
-    return np.stack([rel, lop, omega, pred], axis=1)
+    return np.stack([rel, lop, omega, _lop_predictions(stack, rhs)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -351,22 +341,19 @@ def run_accuracy_experiment(model, cfg: PrecisionConfig, samples: int, seed: int
     The model pattern must live inside the lower triangle and contain the full
     diagonal, so that forward substitution applies to every draw.
     """
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
+    _check_run(samples, 100, workers)
     if model.center_rhs is None:
         raise ValueError("accuracy experiment needs a model with a right-hand side")
-    n = model.n
-    if n < 2:
-        raise ValueError(f"accuracy experiment needs n >= 2 (its 2 log2 n bounds vanish "
-                         f"at n = 1), got n = {n}")
     mask = model.pattern.mask
     if not _is_lower(mask[None])[0]:
         raise ValueError("accuracy experiment needs a lower-triangular pattern")
     if not mask.diagonal().all():
         raise ValueError("accuracy experiment needs the full diagonal in the pattern")
-    stats = _gather_values(_chunk_accuracy_values, (model, cfg), samples, seed, workers)
+    smoothed_lop_bound(model.n, model.sigma)  # the summary's bound; it needs n >= 2
+    stats = _gather_values(functools.partial(_accuracy_values, cfg=cfg), model,
+                           samples, seed, workers)
     return AccuracySummary(
-        n=n, sigma=model.sigma, precision_bits=cfg.significand_bits,
+        n=model.n, sigma=model.sigma, precision_bits=cfg.significand_bits,
         samples=samples, seed=seed,
         rel_error=stats[:, 0], lop=stats[:, 1],
         omega=stats[:, 2], lop_prediction=stats[:, 3],

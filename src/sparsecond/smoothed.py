@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import starmap
 
 import numpy as np
 
@@ -28,8 +29,6 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # upper endpoint of the two-sided 99% Wilson interval
 _Z99 = 2.5758293035489004
-
-_QUANTITY_FLOOR_FACTOR = {"det": 1, "inv": 2, "solve": 2}
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,7 @@ class GaussianModel:
     center_rhs: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _check_normal(self.center.entries, self.sigma)
         if self.center.n != self.pattern.n:
             raise ValueError("center dimension does not match pattern")
         if np.any(self.center.entries[~self.pattern.mask] != 0.0):
@@ -59,6 +57,7 @@ class GaussianModel:
             rhs = np.array(self.center_rhs, dtype=float)
             if rhs.shape != (self.pattern.n,):
                 raise ValueError("center_rhs length does not match dimension")
+            _check_normal(rhs, self.sigma)
             if rhs.size and np.abs(rhs).max() > 1.0:
                 raise ValueError("center_rhs sup-norm must be at most 1")
             rhs.setflags(write=False)
@@ -87,6 +86,14 @@ class GaussianModel:
         return tuple((int(a), int(flat[a]), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]))
 
 
+def _check_normal(mean, sigma) -> None:
+    """N(mean, sigma^2) draws; only the bounds take sigma = inf, their limit."""
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not np.isfinite(mean).all():
+        raise ValueError("the mean of the draws must be finite")
+
+
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(chunk_index),))
     return np.random.Generator(np.random.Philox(ss))
@@ -95,7 +102,7 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
 def sample_batch(model: GaussianModel, seed: int, chunk_index: int, count: int):
     """Draw `count` samples of chunk `chunk_index` as dense stacks: (A, b) with
     A of shape (count, n, n) and b None when the model carries no right-hand
-    side. _tile_draws draws the same bits one kernel tile at a time."""
+    side. The estimators draw the same bits one kernel tile at a time."""
     return _draw(model, _chunk_generator(seed, chunk_index), count)
 
 
@@ -120,12 +127,18 @@ def _draw(model: GaussianModel, rng: np.random.Generator, count: int):
     return stack.reshape(count, n, n), rhs
 
 
-def _tile_draws(model: GaussianModel, seed: int, chunk_index: int, count: int):
-    """sample_batch(model, seed, chunk_index, count) as (A, b) tiles of
-    _tile_members(n) draws in turn: standard_normal fills C order from the
-    one stream, so the tiles hold the chunk's bits."""
-    rng, tile = _chunk_generator(seed, chunk_index), _tile_members(model.n)
+def _tiles(model: GaussianModel, rng: np.random.Generator, count: int):
+    """_draw(model, rng, count) as (A, b) tiles of _tile_members(n) draws in
+    turn: standard_normal fills C order from the one stream, so the tiles
+    hold the same bits."""
+    tile = _tile_members(model.n)
     return (_draw(model, rng, min(tile, count - i)) for i in range(0, count, tile))
+
+
+def _ratio_draws(mu: float, varsigma: float, rng: np.random.Generator, count: int):
+    """The next `count` draws of X ~ N(mu, varsigma^2), as the one tile (X, X + 1)."""
+    x = mu + varsigma * rng.standard_normal(count)
+    yield x, x + 1.0
 
 
 def sample(model: GaussianModel, seed: int):
@@ -152,8 +165,7 @@ def gaussian_ratio_tail_bound(mu: float, varsigma: float, t: float) -> float:
     """Tail bound for P(|X| > t |X + 1|), X ~ N(mu, varsigma^2), valid for t > 1."""
     if varsigma <= 0.0:
         raise ValueError(f"scale must be positive, got {varsigma}")
-    if t <= 1.0:
-        raise ValueError(f"threshold must exceed 1, got {t}")
+    _check_threshold(t, 1.0)
     return ((abs(mu) + varsigma) / varsigma) * (1.0 / (t - 1.0)) * SQRT_2_OVER_PI
 
 
@@ -161,8 +173,7 @@ def det_tail_bound(S_size: int, sigma: float, t: float) -> float:
     """Tail bound for the determinant condition number, valid for t > |S|."""
     if S_size < 1:
         raise ValueError(f"support size must be at least 1, got {S_size}")
-    if t <= S_size:
-        raise ValueError(f"threshold must exceed the support size {S_size}, got {t}")
+    _check_threshold(t, S_size)
     return _sigma_factor(sigma) * (S_size ** 2 / (t - S_size)) * SQRT_2_OVER_PI
 
 
@@ -175,8 +186,7 @@ def det_logexp_bound(S_size: int, sigma: float, beta: float) -> float:
 
 def inverse_tail_bound(n: int, S_size: int, sigma: float, t: float) -> float:
     """Tail bound for the inversion condition number, valid for t > 2|S|."""
-    if t <= 2 * S_size:
-        raise ValueError(f"threshold must exceed {2 * S_size}, got {t}")
+    _check_threshold(t, 2 * S_size)
     return _sigma_factor(sigma) * (4.0 * n * n * S_size ** 2 / (t - 2 * S_size)) * SQRT_2_OVER_PI
 
 
@@ -188,8 +198,7 @@ def inverse_logexp_bound(n: int, S_size: int, sigma: float, beta: float) -> floa
 
 def solve_tail_bound(n: int, S_size: int, sigma: float, t: float) -> float:
     """Tail bound for the linear-solve condition number, valid for t > 2|S|."""
-    if t <= 2 * S_size:
-        raise ValueError(f"threshold must exceed {2 * S_size}, got {t}")
+    _check_threshold(t, 2 * S_size)
     return _sigma_factor(sigma) * (4.0 * n * S_size ** 2 / (t - 2 * S_size)) * SQRT_2_OVER_PI
 
 
@@ -203,8 +212,7 @@ def solve_logexp_bound(n: int, S_size: int, sigma: float, beta: float) -> float:
 def triangular_tail_bound(n: int, sigma: float, t: float) -> float:
     """Solve-condition tail bound specialized to the lower-triangular pattern,
     where |S| = n(n+1)/2; valid for t > n(n+1)."""
-    if t <= n * (n + 1):
-        raise ValueError(f"threshold must exceed {n * (n + 1)}, got {t}")
+    _check_threshold(t, n * (n + 1))
     return _sigma_factor(sigma) * (n ** 3 * (n + 1) ** 2 / (t - n * (n + 1))) * SQRT_2_OVER_PI
 
 
@@ -224,20 +232,25 @@ def expectation_bound_from_tail(k: float, h: float, beta: float) -> float:
 
 
 def _check_beta(beta: float) -> None:
-    if beta <= 1.0:
+    if not beta > 1.0:
         raise ValueError(f"logarithm base must exceed 1, got {beta}")
 
 
-_TAIL_BOUNDS = {
-    "det": lambda n, s, sigma, t: det_tail_bound(s, sigma, t),
-    "inv": inverse_tail_bound,
-    "solve": solve_tail_bound,
-}
+def _check_threshold(t: float, floor: float) -> None:
+    """A tail bound holds only above its floor; NaN is below every floor."""
+    if not t > floor:
+        raise ValueError(f"threshold {t:g} is at or below the validity floor {floor:g}")
 
-_LOGEXP_BOUNDS = {
-    "det": lambda n, s, sigma, beta: det_logexp_bound(s, sigma, beta),
-    "inv": inverse_logexp_bound,
-    "solve": solve_logexp_bound,
+
+# quantity -> (tail, log-expectation) bound as f(n, |S|, sigma, t or beta);
+# "triangular" is solve on the lower-triangular pattern
+_BOUNDS = {
+    "det": (lambda n, s, sigma, t: det_tail_bound(s, sigma, t),
+            lambda n, s, sigma, beta: det_logexp_bound(s, sigma, beta)),
+    "inv": (inverse_tail_bound, inverse_logexp_bound),
+    "solve": (solve_tail_bound, solve_logexp_bound),
+    "triangular": (lambda n, s, sigma, t: triangular_tail_bound(n, sigma, t),
+                   lambda n, s, sigma, beta: triangular_logexp_bound(n, sigma, beta)),
 }
 
 
@@ -263,40 +276,72 @@ def wilson_upper_99(successes: int, trials: int) -> float:
 # ---------------------------------------------------------------------------
 # estimators
 
-def _chunk_condition_values(args) -> np.ndarray:
-    model, quantity, seed, chunk_index, count = args
-    kernel = {"det": lambda a, b: batch_cond_det(a), "inv": lambda a, b: batch_cond_inverse(a),
-              "solve": batch_cond_solve}[quantity]
-    return np.concatenate([kernel(*tile) for tile in _tile_draws(model, seed, chunk_index, count)])
+# Each estimator checks every argument, evaluates its bounds, gathers the
+# per-draw values and reduces them, in this order. A chunk job is (values,
+# draws, seed, chunk_index, count) of module-level functions or partials.
+
+def _check_run(samples: int, minimum: int, workers: int) -> None:
+    if samples < minimum:
+        raise ValueError(f"need at least {minimum} samples, got {samples}")
+    if workers < 1:
+        raise ValueError(f"need at least 1 worker, got {workers}")
 
 
-def _chunk_ratio_values(args) -> np.ndarray:
-    mu, varsigma, seed, chunk_index, count = args
-    rng = _chunk_generator(seed, chunk_index)
-    x = mu + varsigma * rng.standard_normal(count)
-    return componentwise_ratio(x, x + 1.0)
+def _condition_values(quantity: str, a: np.ndarray, b) -> np.ndarray:
+    # the kernels are looked up at call time, so that a tracer can wrap them
+    if quantity == "det":
+        return batch_cond_det(a)
+    if quantity == "inv":
+        return batch_cond_inverse(a)
+    return batch_cond_solve(a, b)
 
 
-def _map_chunks(fn, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    except OSError:
-        # no multiprocessing available in this environment; results are
-        # identical sequentially by construction
-        return [fn(j) for j in jobs]
+def _chunk_values(job) -> np.ndarray:
+    """values(*tile) on each tile of draws(rng, count) from the chunk's generator;
+    starmap drops each tile before the next is drawn. A job must pickle."""
+    values, draws, seed, chunk_index, count = job
+    return np.concatenate(list(starmap(values, draws(_chunk_generator(seed, chunk_index), count))))
 
 
-def _gather_values(fn, params, samples: int, seed: int, workers: int) -> np.ndarray:
+def _gather_values(values, draws, samples: int, seed: int, workers: int) -> np.ndarray:
+    """_chunk_values of each chunk of a run in turn, over at most one worker
+    process per chunk; draws is a function of (rng, count) or a GaussianModel."""
     # Freeing this untouched 16 MiB block raises glibc's mmap threshold (128 KiB)
     # to 16 MiB and its trim threshold to 32 MiB, here and in forked workers, so
     # each tile's 2 MiB arrays reuse heap pages instead of faulting in new ones.
     np.empty(2 << 20)
-    jobs = [params + (seed, idx, min(CHUNK_SIZE, samples - start))
+    if isinstance(draws, GaussianModel):
+        draws = partial(_tiles, draws)
+    jobs = [(values, draws, seed, idx, min(CHUNK_SIZE, samples - start))
             for idx, start in enumerate(range(0, samples, CHUNK_SIZE))]
-    return np.concatenate(_map_chunks(fn, jobs, workers))
+    processes = min(workers, len(jobs))
+    if processes > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=processes) as pool:
+                return np.concatenate(list(pool.map(_chunk_values, jobs)))
+        except OSError:
+            pass  # no multiprocessing here; the chunks have the same bits in turn
+    return np.concatenate([_chunk_values(job) for job in jobs])
+
+
+def _condition_bounds(model: GaussianModel, quantity: str) -> tuple:
+    """The model's (tail, log-expectation) bounds of quantity at t and beta."""
+    if quantity not in ("det", "inv", "solve"):
+        raise ValueError(f"unknown quantity {quantity!r}")
+    if quantity == "solve" and model.center_rhs is None:
+        raise ValueError("quantity 'solve' needs a model with a right-hand-side center")
+    if quantity == "solve" and _is_lower_triangular(model.pattern):
+        quantity = "triangular"
+    return tuple(partial(bound, model.n, len(model.pattern), model.sigma)
+                 for bound in _BOUNDS[quantity])
+
+
+def _thresholds_and_bounds(thresholds, bound) -> tuple:
+    """Ascending thresholds and the bound at each, which checks its floor."""
+    ts = tuple(sorted(float(t) for t in thresholds))
+    if not ts:
+        raise ValueError("no thresholds given")
+    return ts, tuple(bound(t) for t in ts)
 
 
 @dataclass(frozen=True)
@@ -475,61 +520,40 @@ def parse_logexp_csv(text: str) -> LogExpectationEstimate:
     )
 
 
-def _validate_quantity(quantity: str, model: GaussianModel) -> None:
-    if quantity not in _QUANTITY_FLOOR_FACTOR:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    if quantity == "solve" and model.center_rhs is None:
-        raise ValueError("quantity 'solve' needs a model with a right-hand-side center")
+def _tail_estimate(vals: np.ndarray, ts: tuple, theo: tuple, seed: int, **fields) -> TailEstimate:
+    counts = tuple(int((vals > t).sum()) for t in ts)
+    return TailEstimate(
+        thresholds=ts, exceed_counts=counts,
+        empirical=tuple(c / len(vals) for c in counts),
+        wilson_upper=tuple(wilson_upper_99(c, len(vals)) for c in counts),
+        theoretical=theo, samples=len(vals), seed=seed,
+        singular_count=int(np.isinf(vals).sum()), **fields,
+    )
 
 
 def estimate_tail(model: GaussianModel, quantity: str, thresholds, samples: int,
                   seed: int, workers: int = 1) -> TailEstimate:
     """Monte Carlo tail frequencies of a condition number under the model."""
-    _validate_quantity(quantity, model)
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    ts = tuple(sorted(float(t) for t in thresholds))
-    if not ts:
-        raise ValueError("no thresholds given")
-    floor = _QUANTITY_FLOOR_FACTOR[quantity] * len(model.pattern)
-    if ts[0] <= floor:
-        raise ValueError(
-            f"threshold {ts[0]:g} is at or below the validity floor {floor} "
-            f"for quantity '{quantity}' with |S|={len(model.pattern)}")
-    vals = _gather_values(_chunk_condition_values, (model, quantity), samples, seed, workers)
-    counts = tuple(int((vals > t).sum()) for t in ts)
-    if quantity == "solve" and _is_lower_triangular(model.pattern):
-        theo = tuple(triangular_tail_bound(model.n, model.sigma, t) for t in ts)
-    else:
-        theo = tuple(_TAIL_BOUNDS[quantity](model.n, len(model.pattern), model.sigma, t)
-                     for t in ts)
-    return TailEstimate(
-        quantity=quantity, n=model.n, S_size=len(model.pattern), sigma=model.sigma,
-        thresholds=ts, exceed_counts=counts,
-        empirical=tuple(c / samples for c in counts),
-        wilson_upper=tuple(wilson_upper_99(c, samples) for c in counts),
-        theoretical=theo, samples=samples, seed=seed,
-        singular_count=int(np.isinf(vals).sum()),
-    )
+    _check_run(samples, 100, workers)
+    tail_bound, _ = _condition_bounds(model, quantity)
+    ts, theo = _thresholds_and_bounds(thresholds, tail_bound)
+    vals = _gather_values(partial(_condition_values, quantity), model, samples, seed, workers)
+    return _tail_estimate(vals, ts, theo, seed, quantity=quantity, n=model.n,
+                          S_size=len(model.pattern), sigma=model.sigma)
 
 
 def estimate_logexp(model: GaussianModel, quantity: str, beta: float, samples: int,
                     seed: int, workers: int = 1) -> LogExpectationEstimate:
     """Monte Carlo mean of log_beta(condition) under the model."""
-    _validate_quantity(quantity, model)
-    _check_beta(beta)
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    vals = _gather_values(_chunk_condition_values, (model, quantity), samples, seed, workers)
+    _check_run(samples, 100, workers)
+    _, logexp_bound = _condition_bounds(model, quantity)
+    theo = logexp_bound(beta)
+    vals = _gather_values(partial(_condition_values, quantity), model, samples, seed, workers)
     finite = np.isfinite(vals)
     logs = np.log(vals[finite]) / math.log(beta)
     used = int(finite.sum())
     mean = float(logs.mean()) if used else math.nan
     std_error = float(logs.std(ddof=1) / math.sqrt(used)) if used > 1 else 0.0
-    if quantity == "solve" and _is_lower_triangular(model.pattern):
-        theo = triangular_logexp_bound(model.n, model.sigma, beta)
-    else:
-        theo = _LOGEXP_BOUNDS[quantity](model.n, len(model.pattern), model.sigma, beta)
     return LogExpectationEstimate(
         quantity=quantity, n=model.n, S_size=len(model.pattern), sigma=model.sigma,
         beta=beta, mean=mean, std_error=std_error, theoretical=theo,
@@ -541,23 +565,11 @@ def estimate_logexp(model: GaussianModel, quantity: str, beta: float, samples: i
 def verify_ratio_tail(mu: float, varsigma: float, thresholds, samples: int,
                       seed: int, workers: int = 1) -> TailEstimate:
     """Measure P(|X| > t |X+1|) for X ~ N(mu, varsigma^2) against its bound."""
-    if varsigma <= 0.0:
-        raise ValueError(f"scale must be positive, got {varsigma}")
-    if samples < 10_000:
-        raise ValueError(f"need at least 10000 samples, got {samples}")
-    ts = tuple(sorted(float(t) for t in thresholds))
-    if not ts:
-        raise ValueError("no thresholds given")
-    if ts[0] <= 1.0:
-        raise ValueError(f"threshold {ts[0]:g} is at or below the validity floor 1")
-    vals = _gather_values(_chunk_ratio_values, (mu, varsigma), samples, seed, workers)
-    counts = tuple(int((vals > t).sum()) for t in ts)
-    return TailEstimate(
-        quantity="ratio", n=1, S_size=1, sigma=varsigma, mu=mu,
-        thresholds=ts, exceed_counts=counts,
-        empirical=tuple(c / samples for c in counts),
-        wilson_upper=tuple(wilson_upper_99(c, samples) for c in counts),
-        theoretical=tuple(gaussian_ratio_tail_bound(mu, varsigma, t) for t in ts),
-        samples=samples, seed=seed,
-        singular_count=int(np.isinf(vals).sum()),
-    )
+    _check_normal(mu, varsigma)
+    _check_run(samples, 10_000, workers)
+    ts, theo = _thresholds_and_bounds(thresholds,
+                                      partial(gaussian_ratio_tail_bound, mu, varsigma))
+    vals = _gather_values(componentwise_ratio, partial(_ratio_draws, mu, varsigma),
+                          samples, seed, workers)
+    return _tail_estimate(vals, ts, theo, seed, quantity="ratio", n=1, S_size=1,
+                          sigma=varsigma, mu=mu)

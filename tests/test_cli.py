@@ -301,3 +301,51 @@ class TestOneDecisionPerCommand:
         monkeypatch.setattr(result_class, "passed", lambda self: False)
         assert main([command, "--spec", write_spec(tmp_path / "s.txt", **keys)]) == 3
         capsys.readouterr()
+
+
+# command -> invalid inputs, as spec keys to change and extra arguments; each
+# must exit 2 before the first draw
+INVALID = {
+    "tail": [({"sigma": "nan"}, []), ({"sigma": "inf"}, []), ({"thresholds": "nan, 100"}, []),
+             ({"thresholds": "6"}, []), ({}, ["--workers", "0"])],
+    "logexp": [({"sigma": "nan"}, []), ({"beta": "nan"}, []), ({"quantity": "cond"}, []),
+               ({}, ["--workers", "-1"])],
+    "prop4": [({"sigma": "nan"}, []), ({"mu": "nan"}, []), ({"sigma": "inf"}, []),
+              ({"thresholds": "1"}, []), ({}, ["--workers", "0"])],
+    "accuracy": [({"sigma": "nan"}, []), ({"center_rhs": "ones", "sigma": "inf"}, []),
+                 ({"n": 1}, []), ({}, ["--workers", "0"])],
+}
+
+
+@pytest.mark.parametrize("command", list(EXPERIMENTS))
+def test_invalid_input_exits_2_before_the_first_draw(command, tmp_path, capsys, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew a sample from invalid input")
+
+    monkeypatch.setattr(smoothed, "_chunk_generator", no_draws)
+    for change, extra in INVALID[command]:
+        spec = write_spec(tmp_path / "s.txt", **dict(EXPERIMENTS[command][0], **change))
+        out = tmp_path / "out.csv"
+        assert main([command, "--spec", spec, "--out", str(out), *extra]) == 2, change or extra
+        assert not out.exists() and capsys.readouterr().err.startswith("error: ")
+
+
+def _multi_chunk_specs():
+    """Each EXPERIMENTS spec over at least two chunks, and tail on inv and solve."""
+    for command, (keys, _, _) in EXPERIMENTS.items():
+        yield command, dict(keys, samples=max(keys["samples"], 4096 + 300))
+    for quantity in ("inv", "solve"):
+        yield "tail", dict(EXPERIMENTS["tail"][0], quantity=quantity, center_rhs="ones",
+                           samples=4096 + 300)
+
+
+@pytest.mark.parametrize("command,keys", list(_multi_chunk_specs()),
+                         ids=["tail", "logexp", "prop4", "accuracy", "tail-inv", "tail-solve"])
+def test_stdout_csv_and_exit_code_do_not_depend_on_workers(command, keys, tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.txt", **keys)
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}.csv"
+        code = main([command, "--spec", spec, "--out", str(out), "--workers", workers])
+        runs.append((code, capsys.readouterr().out, out.read_bytes()))
+    assert runs[0] == runs[1]

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,7 @@ from sparsecond import conditioning, fplab
 from sparsecond.conditioning import batch_cond_solve, componentwise_ratio
 from sparsecond.fplab import (
     AccuracySummary,
-    _chunk_accuracy_values,
+    _accuracy_values,
     _lops,
     _omegas,
     _substitute,
@@ -33,7 +34,8 @@ from sparsecond.fplab import (
 )
 from sparsecond.linalg import PatternedMatrix, format17
 from sparsecond.patterns import full_pattern, lower_triangular_pattern, pattern_from_mask
-from sparsecond.smoothed import GaussianModel, _is_lower_triangular, sample_batch
+from sparsecond.smoothed import (GaussianModel, _chunk_values, _is_lower_triangular, _tiles,
+                                 sample_batch)
 
 P24 = PrecisionConfig(24)
 P16 = PrecisionConfig(16)
@@ -47,6 +49,14 @@ def tri_model(n, sigma=1.0, center="zero", rhs="zero"):
         c = PatternedMatrix.identity(n, pat)
     b = np.zeros(n) if rhs == "zero" else np.ones(n)
     return GaussianModel(pattern=pat, center=c, sigma=sigma, center_rhs=b)
+
+
+def accuracy_chunk(model, cfg, seed, chunk_index, count, draws=None):
+    """The accuracy values of one chunk, through the one chunk function; draws
+    defaults to the model's kernel tiles."""
+    draws = functools.partial(_tiles, model) if draws is None else draws
+    values = functools.partial(_accuracy_values, cfg=cfg)
+    return _chunk_values((values, draws, seed, chunk_index, count))
 
 
 # --- rational-arithmetic oracle for the rounding model -----------------------
@@ -257,13 +267,17 @@ class TestLopPrediction:
 
 
     def test_n1_prediction_agrees_with_the_chunk_code(self):
-        # log10(2 log2 1) = -inf in both; the chunk code used to raise here
-        model = tri_model(1, rhs="ones")
-        from sparsecond.smoothed import sample_batch
-        stack, rhs = sample_batch(model, 5, 0, 8)
-        pred = _chunk_accuracy_values((model, P24, 5, 0, 8))[:, 3]
-        assert list(pred) == [lop_prediction(a, b) for a, b in zip(stack, rhs)]
+        # one formula, bit for bit: log10(2 log2 1) = -inf in both at n = 1,
+        # where the chunk code used to raise, and no math.log10 in the scalar,
+        # which differed from the chunk's np.log10 in the last bit
+        for n in (1, 2, 3, 5, 10, 30):
+            model = tri_model(n, rhs="ones")
+            stack, rhs = sample_batch(model, 5, 0, 500)
+            pred = accuracy_chunk(model, P24, 5, 0, 500)[:, 3]
+            scalar = np.array([lop_prediction(a, b) for a, b in zip(stack, rhs)])
+            assert pred.tobytes() == scalar.tobytes()
         assert lop_prediction(np.array([[2.0]]), np.array([1.0])) == -math.inf
+        assert lop_prediction(np.array([[0.0]]), np.array([1.0])) == math.inf
 
     def test_smoothed_bound_names_n_at_least_2(self):
         with pytest.raises(ValueError, match="n >= 2"):
@@ -462,12 +476,12 @@ class TestSubstitutionKernel:
             pred = math.log10(2.0 * math.log2(8)) + np.log10(cond)
         expected = np.stack([rel, _lops(rel, P24.eps_mach), _omegas(stack, rhs, x_hat), pred],
                             axis=1)
-        def tiles(*args):
+        def tiles(rng, count):
             size = conditioning._tile_members(8)
-            return ((stack[i:i + size], rhs[i:i + size]) for i in range(0, 60, size))
+            return ((stack[i:i + size], rhs[i:i + size]) for i in range(0, count, size))
 
-        with _members_per_tile(8, per_tile), mock.patch.object(fplab, "_tile_draws", tiles):
-            got = _chunk_accuracy_values((model, P24, 9, 0, 60))
+        with _members_per_tile(8, per_tile):
+            got = accuracy_chunk(model, P24, 9, 0, 60, draws=tiles)
         assert got.tobytes() == expected.tobytes()
 
     def test_accuracy_chunk_peak_memory(self):
@@ -478,7 +492,7 @@ class TestSubstitutionKernel:
         model = tri_model(30)
         stack, rhs = sample_batch(model, 11, 0, 4096)
         peaks = []
-        for run in (lambda: _chunk_accuracy_values((model, P24, 11, 0, 4096)),
+        for run in (lambda: accuracy_chunk(model, P24, 11, 0, 4096),
                     lambda: forward_substitution_batch(stack, rhs, P24)):
             tracemalloc.start()
             try:

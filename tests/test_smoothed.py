@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -61,6 +62,22 @@ class TestGaussianModel:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             make_model(sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        # draws with sigma = inf are all non-finite, so all singular; the
+        # bounds alone keep their sigma -> inf limit
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            make_model(sigma=sigma)
+        assert det_tail_bound(3, math.inf, 4.0) == det_tail_bound(3, 1e300, 4.0)
+
+    def test_rejects_non_finite_means(self):
+        pat = full_pattern(2)
+        center = PatternedMatrix(pat, np.array([[0.5, math.nan], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="mean"):
+            GaussianModel(pattern=pat, center=center, sigma=1.0)
+        with pytest.raises(ValueError, match="mean"):
+            make_model(rhs=np.array([0.0, math.nan, 0.0, 0.0]))
 
     def test_rejects_unnormalized_rhs(self):
         with pytest.raises(ValueError):
@@ -192,6 +209,13 @@ def _tiles_of(monkeypatch, n, members):
     return conditioning._tile_members(n)
 
 
+def condition_chunk(model, quantity, seed, chunk_index, count):
+    """The condition values of one chunk, through the one chunk function."""
+    return smoothed._chunk_values((functools.partial(smoothed._condition_values, quantity),
+                                   functools.partial(smoothed._tiles, model), seed,
+                                   chunk_index, count))
+
+
 class TestTileStream:
     """A chunk is drawn from its one generator one kernel tile at a time, and
     each tile goes straight to the kernels; every bit is that of
@@ -206,7 +230,7 @@ class TestTileStream:
         model = _model_on(name, n, sigma, with_rhs)
         tile = _tiles_of(monkeypatch, n, members)
         for count in sorted({1, tile - 1, tile, tile + 1, 4096} - {0}):
-            tiles = list(smoothed._tile_draws(model, 6, 2, count))
+            tiles = list(smoothed._tiles(model, smoothed._chunk_generator(6, 2), count))
             stack, b = sample_batch(model, seed=6, chunk_index=2, count=count)
             sizes = [len(a) for a, _ in tiles]
             assert sum(sizes) == count and set(sizes[:-1]) <= {tile} and sizes[-1] <= tile
@@ -230,7 +254,7 @@ class TestTileStream:
                     "inv": lambda: smoothed.batch_cond_inverse(stack),
                     "solve": lambda: smoothed.batch_cond_solve(stack, rhs)}[quantity]()
         assert _tiles_of(monkeypatch, n, members) < count
-        got = smoothed._chunk_condition_values((model, quantity, 5, 1, count))
+        got = condition_chunk(model, quantity, 5, 1, count)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("members,count", [(7, 300), (None, 4096)])
@@ -242,7 +266,9 @@ class TestTileStream:
         stack, rhs = sample_batch(model, seed=5, chunk_index=1, count=count)
         expected = fplab._accuracy_values(stack, rhs, cfg=cfg)
         assert _tiles_of(monkeypatch, n, members) < count
-        got = fplab._chunk_accuracy_values((model, cfg, 5, 1, count))
+        values = functools.partial(fplab._accuracy_values, cfg=cfg)
+        got = smoothed._chunk_values((values, functools.partial(smoothed._tiles, model), 5, 1,
+                                      count))
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     def test_chunk_peak_memory_is_one_tile_and_its_kernel(self):
@@ -252,7 +278,7 @@ class TestTileStream:
         model = make_model(n=30, rhs=np.ones(30))
         tracemalloc.start()
         try:
-            smoothed._chunk_condition_values((model, "solve", 8, 0, 4096))
+            condition_chunk(model, "solve", 8, 0, 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -392,6 +418,38 @@ class TestEstimateTail:
         seq = estimate_tail(model, "det", [50.0], 9000, seed=9, workers=1)
         par = estimate_tail(model, "det", [50.0], 9000, seed=9, workers=3)
         assert seq == par
+
+    @pytest.mark.parametrize("workers,samples,pools", [
+        (64, 9000, [3]), (2, 9000, [2]), (64, 4096, []), (1, 9000, [])])
+    def test_pool_has_at_most_one_process_per_chunk(self, workers, samples, pools,
+                                                    monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records the pool size and maps in this process; forks nothing."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(smoothed, "ProcessPoolExecutor", InProcessPool)
+        model = make_model(n=3, pattern=lower_triangular_pattern(3))
+        got = estimate_tail(model, "det", [50.0], samples, seed=9, workers=workers)
+        assert sizes == pools
+        assert got == estimate_tail(model, "det", [50.0], samples, seed=9)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_invalid(self, workers):
+        with pytest.raises(ValueError, match="at least 1 worker"):
+            estimate_tail(make_model(), "det", [300.0], 500, seed=9, workers=workers)
 
     def test_samples_respect_pattern(self):
         model = make_model()
