@@ -231,37 +231,26 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.pattern not in NAMED_PATTERNS:
-        raise SpecError(f"unknown pattern {args.pattern!r}")
-    n = args.n
-    if n < 1:
-        raise SpecError(f"n must be positive, got {n}")
+    """A line per threshold and one for beta, with a cell per row of smoothed._BOUNDS;
+    the triangular one, last and unpadded, on a lower-triangular pattern only."""
+    pattern = NAMED_PATTERNS[args.pattern](args.n)
     sigma = math.inf if args.no_sigma_factor else args.sigma
     if sigma is None:
         raise SpecError("--sigma is required (or pass --no-sigma-factor)")
-    if not sigma > 0:
-        raise SpecError(f"sigma must be positive, got {sigma}")
-    beta = args.beta
-    s_size = len(NAMED_PATTERNS[args.pattern](n))
-    thresholds = _parse_thresholds(args.t or "")
-    triangular = args.pattern == "lower_triangular"
-    lines = [f"bounds: pattern={args.pattern} n={n} S_size={s_size} "
-             f"sigma={'inf' if math.isinf(sigma) else f'{sigma:g}'} beta={beta:g}"]
-    for t in thresholds:
-        cells = [f"t={t:<12g}",
-                 f"det_tail={smoothed.det_tail_bound(s_size, sigma, t):<12.6g}",
-                 f"inv_tail={smoothed.inverse_tail_bound(n, s_size, sigma, t):<12.6g}",
-                 f"solve_tail={smoothed.solve_tail_bound(n, s_size, sigma, t):<12.6g}"]
-        if triangular:
-            cells.append(f"triangular_tail={smoothed.triangular_tail_bound(n, sigma, t):.6g}")
-        lines.append("  " + " ".join(cells))
-    cells = [f"logexp(beta={beta:g})",
-             f"det={smoothed.det_logexp_bound(s_size, sigma, beta):<12.6g}",
-             f"inv={smoothed.inverse_logexp_bound(n, s_size, sigma, beta):<12.6g}",
-             f"solve={smoothed.solve_logexp_bound(n, s_size, sigma, beta):<12.6g}"]
-    if triangular:
-        cells.append(f"triangular={smoothed.triangular_logexp_bound(n, sigma, beta):.6g}")
-    lines.append("  " + " ".join(cells))
+    bounds = [(quantity, pair) for quantity, pair in smoothed._BOUNDS.items()
+              if quantity != "triangular" or smoothed._is_lower_triangular(pattern)]
+
+    def line(head: str, which: int, suffix: str, x: float) -> str:
+        cells = [head]
+        for quantity, pair in bounds:
+            spec = ".6g" if quantity == "triangular" else "<12.6g"
+            cells.append(f"{quantity}{suffix}={pair[which](args.n, len(pattern), sigma, x):{spec}}")
+        return "  " + " ".join(cells)
+
+    lines = [f"bounds: pattern={args.pattern} n={args.n} S_size={len(pattern)} "
+             f"sigma={sigma:g} beta={args.beta:g}"]
+    lines += [line(f"t={t:<12g}", 0, "_tail", t) for t in _parse_thresholds(args.t or "")]
+    lines.append(line(f"logexp(beta={args.beta:g})", 1, "", args.beta))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (Factorization, PatternedMatrix, _factor, _factor_one, _lu_inverse, _lu_solve,
-                     _members, as_rhs, as_square, format17)
+                     _csv_lines, _members, as_rhs, as_square)
 from .patterns import _closure
 
 _QUANTITIES = ("det", "inv", "solve")
@@ -56,7 +56,10 @@ def componentwise_distance(u, v) -> float:
     vv = np.asarray(v, dtype=float).ravel()
     if uu.shape != vv.shape:
         raise ValueError(f"length mismatch: {uu.shape} vs {vv.shape}")
-    return float(componentwise_ratio(uu - vv, vv).max()) if uu.size else 0.0
+    # an inf - inf or an overflow is NaN or inf, which the ratio makes inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = uu - vv
+    return float(componentwise_ratio(diff, vv).max(initial=0.0))
 
 
 def cond_det(A) -> float:
@@ -599,19 +602,16 @@ class ConditionReport:
                     )
         return "\n".join(lines) + "\n"
 
-    CSV_HEADER = "n,S_size,c_det,c_inv,c_solve,minor_bound_max_slack,replacement_bound_max_slack"
+    # one row; c_solve is nan without a right-hand side (linalg._csv_lines)
+    _CSV_COLUMNS = (
+        ("n", "n", int), ("S_size", "pattern_size", int), ("c_det", "c_det", float),
+        ("c_inv", "c_inv", float), ("c_solve", "c_solve", float),
+        ("minor_bound_max_slack", "minor_bound_max_slack", float),
+        ("replacement_bound_max_slack", "replacement_bound_max_slack", float))
+    CSV_HEADER = ",".join(column for column, _, _ in _CSV_COLUMNS)
 
     def to_csv_row(self) -> str:
-        c_solve = math.nan if self.c_solve is None else self.c_solve
-        return ",".join([
-            str(self.n),
-            str(self.pattern_size),
-            format17(self.c_det),
-            format17(self.c_inv),
-            format17(c_solve),
-            format17(self.minor_bound_max_slack),
-            format17(self.replacement_bound_max_slack),
-        ])
+        return _csv_lines(self)[1]
 
 
 def _fmt_inf(x: float) -> str:

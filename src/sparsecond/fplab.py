@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import _tiled, batch_cond_solve, componentwise_distance, componentwise_ratio
-from .linalg import _is_lower, as_rhs, as_square, format17
+from .linalg import _csv_lines, _is_lower, as_rhs, as_square
 from .smoothed import _check_run, _gather_values, _sigma_factor
 
 # decimal digits of slack absorbing the vanishing remainder term in the
@@ -204,21 +204,15 @@ class SolveAccuracyReport:
 
 
 def solve_accuracy(L, b, cfg: PrecisionConfig) -> SolveAccuracyReport:
-    """Solve L x = b at reduced precision and report the error diagnostics."""
+    """Solve L x = b at reduced precision and report the error diagnostics,
+    those of the system's row of _accuracy_values, as a batch of one."""
     mat = as_square(L)
     rhs = as_rhs(b, len(mat))
     x_hat = forward_substitution(mat, rhs, cfg)
-    x_ref = _substitute(mat[None], rhs[None])[0]
-    rel = rel_error(x_hat, x_ref)
+    rel, lop, omega, lop_bound = _accuracy_values(mat[None], rhs[None], cfg)[0].tolist()
     return SolveAccuracyReport(
-        x_ref=x_ref,
-        x_hat=x_hat,
-        rel_error=rel,
-        lop=loss_of_precision(rel, cfg),
-        omega=backward_error_omega(mat, rhs, x_hat),
-        backward_bound=backward_error_bound(len(rhs), cfg),
-        lop_bound=lop_prediction(mat, rhs),
-    )
+        x_ref=_substitute(mat[None], rhs[None])[0], x_hat=x_hat, rel_error=rel, lop=lop,
+        omega=omega, backward_bound=backward_error_bound(len(rhs), cfg), lop_bound=lop_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +225,9 @@ def _accuracy_values(stack: np.ndarray, rhs: np.ndarray, cfg: PrecisionConfig) -
     x_ref = _substitute(stack, rhs)
     x_hat = forward_substitution_batch(stack, rhs, cfg)
 
-    # inf - inf in the error of a non-finite draw is NaN, which the ratio makes inf
-    with np.errstate(invalid="ignore"):
-        rel = componentwise_ratio(x_hat - x_ref, x_ref).max(axis=1)
+    # an inf - inf or an overflow in the error is NaN or inf, which the ratio makes inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = componentwise_ratio(x_hat - x_ref, x_ref).max(axis=1, initial=0.0)
     lop = _lops(rel, cfg.eps_mach)
     omega = _omegas(stack, rhs, x_hat)
     return np.stack([rel, lop, omega, _lop_predictions(stack, rhs)], axis=1)
@@ -305,16 +299,17 @@ class AccuracySummary:
         """The run's verdict: both the backward-error and the LoP check pass."""
         return self.backward_check_passed() and self.lop_check_passed()
 
-    CSV_HEADER = "seed,n,sigma,p,rel_error,lop,omega,backward_bound,lop_prediction"
+    # one row per draw (linalg._csv_lines)
+    _CSV_COLUMNS = (
+        ("seed", "seed", int), ("n", "n", int), ("sigma", "sigma", float),
+        ("p", "precision_bits", int), ("rel_error", "rel_error", (float,)),
+        ("lop", "lop", (float,)), ("omega", "omega", (float,)),
+        ("backward_bound", "backward_bound", float),
+        ("lop_prediction", "lop_prediction", (float,)))
+    CSV_HEADER = ",".join(column for column, _, _ in _CSV_COLUMNS)
 
     def to_csv_text(self) -> str:
-        # one %-format per run, with the columns that are the same on every row
-        # baked in; "%.17g" % x is format17(x)
-        row = (f"{self.seed},{self.n},{format17(self.sigma)},{self.precision_bits},"
-               f"%.17g,%.17g,%.17g,{format17(self.backward_bound)},%.17g")
-        values = zip(self.rel_error.tolist(), self.lop.tolist(), self.omega.tolist(),
-                     self.lop_prediction.tolist())
-        return "\n".join([self.CSV_HEADER, *(row % v for v in values)]) + "\n"
+        return "\n".join(_csv_lines(self)) + "\n"
 
     def to_report_text(self) -> str:
         back = "PASS" if self.backward_check_passed() else "FAIL"

@@ -266,6 +266,49 @@ def format17(x) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_lines(record) -> list:
+    """The lines of record's CSV, its CSV_HEADER first, from the one statement
+    of its layout, _CSV_COLUMNS: (column, attribute, type) in column order. A
+    column of type (t,) gives a row per entry of its attribute, a sequence of
+    t, each written as "%.17g" % entry, which is format17(entry). Every other
+    column is formatted once, format17 of a float (None is nan) and str of the
+    rest, and repeats on every row; without a per-row column there is one row."""
+    cells, per_row = [], []
+    for _, attribute, kind in record._CSV_COLUMNS:
+        value = getattr(record, attribute)
+        if isinstance(kind, tuple):
+            cells.append("%.17g")
+            per_row.append(np.asarray(value).tolist())
+        else:
+            cell = format17(np.nan if value is None else value) if kind is float else str(value)
+            cells.append(cell.replace("%", "%%"))
+    template = ",".join(cells)
+    return [record.CSV_HEADER, *(template % row for row in (zip(*per_row) if per_row else [()]))]
+
+
+def _read_csv(cls, text: str):
+    """cls from the text of _csv_lines: the header must be cls.CSV_HEADER and
+    be followed by at least one row (exactly one without per-row columns), each
+    as wide as the header; a per-row column is read from every row, the others
+    from the first. ValueError otherwise."""
+    header, *rows = text.strip().splitlines() or [""]
+    columns = cls._CSV_COLUMNS
+    if header != cls.CSV_HEADER:
+        raise ValueError(f"not a {cls.__name__} CSV: the header is {header!r}")
+    per_row = any(isinstance(kind, tuple) for _, _, kind in columns)
+    if not rows or (len(rows) > 1 and not per_row):
+        raise ValueError(f"{cls.__name__} CSV: {len(rows)} rows")
+    cells = [row.split(",") for row in rows]
+    for i, row in enumerate(cells, start=2):
+        if len(row) != len(columns):
+            raise ValueError(f"{cls.__name__} CSV line {i}: {len(row)} fields, not {len(columns)}")
+    fields = {}
+    for (_, attribute, kind), column in zip(columns, zip(*cells)):
+        fields[attribute] = (tuple(map(kind[0], column)) if isinstance(kind, tuple)
+                             else kind(column[0]))
+    return cls(**fields)
+
+
 def write_matrix_file(A, path) -> None:
     """Write a matrix: first line n, then n whitespace-separated rows."""
     a = as_square(A)

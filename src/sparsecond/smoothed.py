@@ -11,7 +11,6 @@ scheduled across workers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import starmap
@@ -20,7 +19,7 @@ import numpy as np
 
 from .conditioning import (_tile_members, batch_cond_det, batch_cond_inverse, batch_cond_solve,
                            componentwise_ratio)
-from .linalg import PatternedMatrix, _is_lower, format17
+from .linalg import PatternedMatrix, _csv_lines, _is_lower, _read_csv
 from .patterns import SparsityPattern, is_admissible
 
 CHUNK_SIZE = 4096
@@ -163,7 +162,7 @@ def _sigma_factor(sigma: float) -> float:
 
 def gaussian_ratio_tail_bound(mu: float, varsigma: float, t: float) -> float:
     """Tail bound for P(|X| > t |X + 1|), X ~ N(mu, varsigma^2), valid for t > 1."""
-    if varsigma <= 0.0:
+    if not varsigma > 0.0:
         raise ValueError(f"scale must be positive, got {varsigma}")
     _check_threshold(t, 1.0)
     return ((abs(mu) + varsigma) / varsigma) * (1.0 / (t - 1.0)) * SQRT_2_OVER_PI
@@ -225,7 +224,7 @@ def triangular_logexp_bound(n: int, sigma: float, beta: float) -> float:
 def expectation_bound_from_tail(k: float, h: float, beta: float) -> float:
     """Expected-log bound for a variable X > 1 with P(X > t) <= k / (t - h):
     log_beta(k + h) + 1/ln(beta). Utility for composing new bounds."""
-    if k <= 0.0 or h <= 0.0:
+    if not (k > 0.0 and h > 0.0):
         raise ValueError(f"tail parameters must be positive, got k={k}, h={h}")
     _check_beta(beta)
     return math.log(k + h) / math.log(beta) + 1.0 / math.log(beta)
@@ -316,6 +315,8 @@ def _gather_values(values, draws, samples: int, seed: int, workers: int) -> np.n
             for idx, start in enumerate(range(0, samples, CHUNK_SIZE))]
     processes = min(workers, len(jobs))
     if processes > 1:
+        # imported here: a run on one process never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         try:
             with ProcessPoolExecutor(max_workers=processes) as pool:
                 return np.concatenate(list(pool.map(_chunk_values, jobs)))
@@ -390,28 +391,18 @@ class TailEstimate:
         """The run's verdict: no threshold FAILs under verdicts(); VACUOUS passes."""
         return "FAIL" not in self.verdicts()
 
-    CSV_HEADER = ("quantity,n,S_size,sigma,mu,t,exceed_count,empirical,"
-                  "wilson_upper99,theoretical,samples,seed,singular_count")
+    # one row per threshold (linalg._csv_lines)
+    _CSV_COLUMNS = (
+        ("quantity", "quantity", str), ("n", "n", int), ("S_size", "S_size", int),
+        ("sigma", "sigma", float), ("mu", "mu", float), ("t", "thresholds", (float,)),
+        ("exceed_count", "exceed_counts", (int,)), ("empirical", "empirical", (float,)),
+        ("wilson_upper99", "wilson_upper", (float,)), ("theoretical", "theoretical", (float,)),
+        ("samples", "samples", int), ("seed", "seed", int),
+        ("singular_count", "singular_count", int))
+    CSV_HEADER = ",".join(column for column, _, _ in _CSV_COLUMNS)
 
     def to_csv_text(self) -> str:
-        rows = [self.CSV_HEADER]
-        for i, t in enumerate(self.thresholds):
-            rows.append(",".join([
-                self.quantity,
-                str(self.n),
-                str(self.S_size),
-                format17(self.sigma),
-                format17(self.mu),
-                format17(t),
-                str(self.exceed_counts[i]),
-                format17(self.empirical[i]),
-                format17(self.wilson_upper[i]),
-                format17(self.theoretical[i]),
-                str(self.samples),
-                str(self.seed),
-                str(self.singular_count),
-            ]))
-        return "\n".join(rows) + "\n"
+        return "\n".join(_csv_lines(self)) + "\n"
 
     def to_report_text(self) -> str:
         head = (f"tail experiment: quantity={self.quantity} n={self.n} S_size={self.S_size} "
@@ -427,26 +418,7 @@ class TailEstimate:
 
 
 def parse_tail_csv(text: str) -> TailEstimate:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != TailEstimate.CSV_HEADER:
-        raise ValueError("not a tail-estimate CSV")
-    rows = [ln.split(",") for ln in lines[1:]]
-    first = rows[0]
-    return TailEstimate(
-        quantity=first[0],
-        n=int(first[1]),
-        S_size=int(first[2]),
-        sigma=float(first[3]),
-        mu=float(first[4]),
-        thresholds=tuple(float(r[5]) for r in rows),
-        exceed_counts=tuple(int(r[6]) for r in rows),
-        empirical=tuple(float(r[7]) for r in rows),
-        wilson_upper=tuple(float(r[8]) for r in rows),
-        theoretical=tuple(float(r[9]) for r in rows),
-        samples=int(first[10]),
-        seed=int(first[11]),
-        singular_count=int(first[12]),
-    )
+    return _read_csv(TailEstimate, text)
 
 
 @dataclass(frozen=True)
@@ -470,25 +442,16 @@ class LogExpectationEstimate:
     singular_count: int
     seed: int
 
-    CSV_HEADER = ("quantity,n,S_size,sigma,beta,mean,std_error,theoretical,"
-                  "samples,used_samples,singular_count,seed")
+    _CSV_COLUMNS = (
+        ("quantity", "quantity", str), ("n", "n", int), ("S_size", "S_size", int),
+        ("sigma", "sigma", float), ("beta", "beta", float), ("mean", "mean", float),
+        ("std_error", "std_error", float), ("theoretical", "theoretical", float),
+        ("samples", "samples", int), ("used_samples", "used_samples", int),
+        ("singular_count", "singular_count", int), ("seed", "seed", int))
+    CSV_HEADER = ",".join(column for column, _, _ in _CSV_COLUMNS)
 
     def to_csv_text(self) -> str:
-        row = ",".join([
-            self.quantity,
-            str(self.n),
-            str(self.S_size),
-            format17(self.sigma),
-            format17(self.beta),
-            format17(self.mean),
-            format17(self.std_error),
-            format17(self.theoretical),
-            str(self.samples),
-            str(self.used_samples),
-            str(self.singular_count),
-            str(self.seed),
-        ])
-        return self.CSV_HEADER + "\n" + row + "\n"
+        return "\n".join(_csv_lines(self)) + "\n"
 
     def passed(self) -> bool:
         """The run's verdict: the raw sample mean is at most the bound, with no
@@ -508,16 +471,7 @@ class LogExpectationEstimate:
 
 
 def parse_logexp_csv(text: str) -> LogExpectationEstimate:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if len(lines) != 2 or lines[0] != LogExpectationEstimate.CSV_HEADER:
-        raise ValueError("not a log-expectation CSV")
-    r = lines[1].split(",")
-    return LogExpectationEstimate(
-        quantity=r[0], n=int(r[1]), S_size=int(r[2]), sigma=float(r[3]),
-        beta=float(r[4]), mean=float(r[5]), std_error=float(r[6]),
-        theoretical=float(r[7]), samples=int(r[8]), used_samples=int(r[9]),
-        singular_count=int(r[10]), seed=int(r[11]),
-    )
+    return _read_csv(LogExpectationEstimate, text)
 
 
 def _tail_estimate(vals: np.ndarray, ts: tuple, theo: tuple, seed: int, **fields) -> TailEstimate:

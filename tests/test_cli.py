@@ -6,7 +6,7 @@ import pytest
 from sparsecond import fplab, smoothed
 from sparsecond.cli import main
 from sparsecond.linalg import PatternedMatrix, write_matrix_file, write_vector_file
-from sparsecond.patterns import lower_triangular_pattern, write_pattern_file
+from sparsecond.patterns import NAMED_PATTERNS, lower_triangular_pattern, write_pattern_file
 
 
 def write_spec(path, **keys):
@@ -226,7 +226,50 @@ class TestAccuracy:
         assert main(["accuracy", "--spec", spec]) == 2
 
 
+def bounds_field_by_field(pattern, n, sigma, thresholds, beta):
+    """The bounds table built from each named bound function in turn."""
+    s = len(NAMED_PATTERNS[pattern](n))
+    lines = [f"bounds: pattern={pattern} n={n} S_size={s} sigma={sigma:g} beta={beta:g}"]
+    for t in thresholds:
+        cells = [f"t={t:<12g}", f"det_tail={smoothed.det_tail_bound(s, sigma, t):<12.6g}",
+                 f"inv_tail={smoothed.inverse_tail_bound(n, s, sigma, t):<12.6g}",
+                 f"solve_tail={smoothed.solve_tail_bound(n, s, sigma, t):<12.6g}"]
+        if pattern == "lower_triangular":
+            cells.append(f"triangular_tail={smoothed.triangular_tail_bound(n, sigma, t):.6g}")
+        lines.append("  " + " ".join(cells))
+    cells = [f"logexp(beta={beta:g})", f"det={smoothed.det_logexp_bound(s, sigma, beta):<12.6g}",
+             f"inv={smoothed.inverse_logexp_bound(n, s, sigma, beta):<12.6g}",
+             f"solve={smoothed.solve_logexp_bound(n, s, sigma, beta):<12.6g}"]
+    if pattern == "lower_triangular":
+        cells.append(f"triangular={smoothed.triangular_logexp_bound(n, sigma, beta):.6g}")
+    lines.append("  " + " ".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 class TestBounds:
+    @pytest.mark.parametrize("pattern", ["full", "lower_triangular", "tridiagonal"])
+    @pytest.mark.parametrize("sigma_args, sigma", [(["--sigma", "1"], 1.0),
+                                                   (["--sigma", "0.5"], 0.5),
+                                                   (["--no-sigma-factor"], math.inf)])
+    @pytest.mark.parametrize("t_args, thresholds", [([], []), (["--t", "1e4,1e6"], [1e4, 1e6])])
+    @pytest.mark.parametrize("beta_args, beta", [([], math.e), (["--beta", "10"], 10.0)])
+    def test_table_equals_the_field_by_field_builder(self, pattern, sigma_args, sigma, t_args,
+                                                     thresholds, beta_args, beta, capsys):
+        argv = ["bounds", "--n", "4", "--pattern", pattern, *sigma_args, *t_args, *beta_args]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == bounds_field_by_field(pattern, 4, sigma, thresholds,
+                                                                beta)
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--n", "0", "--sigma", "1"], "dimension must be positive, got 0"),
+        (["--n", "4", "--sigma", "0"], "sigma must be positive, got 0.0"),
+        (["--n", "4", "--sigma", "nan"], "sigma must be positive, got nan"),
+        (["--n", "4"], "--sigma is required")])
+    def test_invalid_arguments_exit_2(self, extra, message, capsys):
+        assert main(["bounds", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     def test_triangular_tail_value(self, capsys):
         assert main(["bounds", "--n", "2", "--sigma", "1", "--t", "20"]) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from sparsecond import conditioning, linalg
 from sparsecond.conditioning import (
+    ConditionReport,
     batch_cond_det,
     batch_cond_inverse,
     batch_cond_inverse_entries,
@@ -34,7 +36,7 @@ from sparsecond.conditioning import (
     condition_report,
     oracle_condition,
 )
-from sparsecond.linalg import PatternedMatrix
+from sparsecond.linalg import PatternedMatrix, format17
 from sparsecond.patterns import (full_pattern, lower_triangular_pattern, pattern_from_mask,
                                  tridiagonal_pattern)
 
@@ -63,6 +65,17 @@ class TestComponentwiseDistance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             componentwise_distance([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("u, v", [([math.inf], [math.inf]),
+                                      ([1.0, -math.inf], [1.0, -math.inf]),
+                                      ([1e308], [-1e308]), ([math.nan], [1.0])])
+    def test_non_finite_or_overflowing_difference_is_inf_without_a_warning(self, u, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert componentwise_distance(u, v) == math.inf
+
+    def test_empty_vectors(self):
+        assert componentwise_distance([], []) == 0.0
 
 
 def where_componentwise_ratio(num, den):
@@ -1097,7 +1110,31 @@ class TestLowerTriangularPath:
         assert cond_solve(stack[0], rhs[0]) == expected[0]
 
 
+def report_csv_field_by_field(rep):
+    """The report's CSV row built from format17 or str of each field."""
+    c_solve = math.nan if rep.c_solve is None else rep.c_solve
+    return ",".join([str(rep.n), str(rep.pattern_size), format17(rep.c_det), format17(rep.c_inv),
+                     format17(c_solve), format17(rep.minor_bound_max_slack),
+                     format17(rep.replacement_bound_max_slack)])
+
+
 class TestConditionReport:
+    def test_csv_row_equals_the_field_by_field_builder(self):
+        rng = np.random.default_rng(6)
+        tri = np.diag(rng.standard_normal(6)) + np.diag(rng.standard_normal(5), 1)
+        reports = [condition_report(a, b) for a in (A22, SING, PatternedMatrix.dense(tri))
+                   for b in (None, np.ones(len(a.entries)))]
+        specials = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308)
+        reports += [ConditionReport(n=2, pattern_size=3, c_det=v, c_inv=specials[i - 1],
+                                    c_inv_entries=np.full((2, 2), v),
+                                    bound_inv_entries=np.zeros((2, 2)), c_solve=specials[i - 2],
+                                    c_solve_entries=None, bound_solve_entries=None)
+                    for i, v in enumerate(specials)]
+        for rep in reports:
+            assert rep.CSV_HEADER == ("n,S_size,c_det,c_inv,c_solve,minor_bound_max_slack,"
+                                      "replacement_bound_max_slack")
+            assert rep.to_csv_row() == report_csv_field_by_field(rep)
+
     def test_invariants(self):
         rng = np.random.default_rng(4)
         a = PatternedMatrix.dense(rng.standard_normal((3, 3)))

@@ -297,6 +297,29 @@ class TestSolveAccuracy:
         assert rep.lop == loss_of_precision(rep.rel_error, P24)
         assert rep.backward_bound == backward_error_bound(6, P24)
 
+    def test_report_is_the_accuracy_row_of_its_system(self):
+        # solve_accuracy reads its four diagnostics from the system's
+        # _accuracy_values row; the scalar routines give the same bits
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 5, 10, 30):
+            for _ in range(20):
+                L, b = np.tril(rng.standard_normal((n, n))), rng.standard_normal(n)
+                rep = solve_accuracy(L, b, P24)
+                rel = rel_error(rep.x_hat, rep.x_ref)
+                scalar = [rel, loss_of_precision(rel, P24), backward_error_omega(L, b, rep.x_hat),
+                          lop_prediction(L, b)]
+                row = fplab._accuracy_values(L[None], b[None], P24)[0]
+                assert np.array(scalar).tobytes() == row.tobytes()
+                assert [rep.rel_error, rep.lop, rep.omega, rep.lop_bound] == row.tolist()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_solution_is_inf_without_a_warning(self):
+        # x_2 overflows to -inf in both solutions, so their error is inf - inf
+        rep = solve_accuracy([[1e-300, 0.0], [1.0, 1e-300]], [1.0, 1.0], P24)
+        assert rep.x_ref[1] == rep.x_hat[1] == -math.inf
+        assert (rep.rel_error, rep.lop, rep.omega, rep.lop_bound) == (math.inf,) * 4
+        assert rel_error(rep.x_hat, rep.x_ref) == math.inf
+
     @pytest.mark.filterwarnings("error")
     def test_empty_system(self):
         # the diagnostics of a 0 x 0 system follow the n = 1 conventions of

@@ -1,6 +1,10 @@
+import concurrent.futures
 import dataclasses
 import functools
 import math
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -8,11 +12,13 @@ import numpy as np
 import pytest
 
 from sparsecond import conditioning, fplab, smoothed
-from sparsecond.linalg import PatternedMatrix
+from sparsecond.linalg import PatternedMatrix, format17
 from sparsecond.patterns import (full_pattern, lower_triangular_pattern, pattern_from_mask,
                                  tridiagonal_pattern)
 from sparsecond.smoothed import (
     GaussianModel,
+    LogExpectationEstimate,
+    TailEstimate,
     det_logexp_bound,
     det_tail_bound,
     estimate_logexp,
@@ -365,6 +371,16 @@ class TestBoundArithmetic:
         with pytest.raises(ValueError):
             expectation_bound_from_tail(0.0, 1.0, math.e)
 
+    @pytest.mark.parametrize("bound, args", [
+        (gaussian_ratio_tail_bound, (0.0, math.nan, 2.0)),
+        (gaussian_ratio_tail_bound, (0.0, 1.0, math.nan)),
+        (expectation_bound_from_tail, (math.nan, 1.0, math.e)),
+        (expectation_bound_from_tail, (1.0, math.nan, math.e)),
+        (expectation_bound_from_tail, (1.0, 1.0, math.nan))])
+    def test_nan_parameter_is_rejected(self, bound, args):
+        with pytest.raises(ValueError):
+            bound(*args)
+
 
 class TestWilson:
     def test_zero_successes_still_positive(self):
@@ -440,11 +456,24 @@ class TestEstimateTail:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(smoothed, "ProcessPoolExecutor", InProcessPool)
+        # _gather_values imports the pool from concurrent.futures when it maps
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         model = make_model(n=3, pattern=lower_triangular_pattern(3))
         got = estimate_tail(model, "det", [50.0], samples, seed=9, workers=workers)
         assert sizes == pools
         assert got == estimate_tail(model, "det", [50.0], samples, seed=9)
+
+    def test_only_a_pooled_run_imports_the_process_pool(self):
+        # in a fresh interpreter: the package and its CLI load no multiprocessing,
+        # and neither does a run on one worker
+        src = str(pathlib.Path(smoothed.__file__).parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import sparsecond.cli as cli; "
+                "before = 'multiprocessing' in sys.modules; "
+                "cli.smoothed.verify_ratio_tail(0.0, 1.0, [2.0], 10_000, 1); "
+                "print(before, 'multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                             check=True).stdout
+        assert out == "False False\n"
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_is_invalid(self, workers):
@@ -508,7 +537,84 @@ class TestVerifyRatioTail:
             verify_ratio_tail(0.0, 1.0, [1.0], 10_000, seed=0)
 
 
+SPECIALS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308)
+
+
+def tail_csv_field_by_field(est):
+    """The tail CSV built one row at a time from format17 or str of each field."""
+    rows = [TailEstimate.CSV_HEADER]
+    for i, t in enumerate(est.thresholds):
+        rows.append(",".join([
+            est.quantity, str(est.n), str(est.S_size), format17(est.sigma), format17(est.mu),
+            format17(t), str(est.exceed_counts[i]), format17(est.empirical[i]),
+            format17(est.wilson_upper[i]), format17(est.theoretical[i]), str(est.samples),
+            str(est.seed), str(est.singular_count)]))
+    return "\n".join(rows) + "\n"
+
+
+def logexp_csv_field_by_field(est):
+    """The logexp CSV built from format17 or str of each field."""
+    row = ",".join([
+        est.quantity, str(est.n), str(est.S_size), format17(est.sigma), format17(est.beta),
+        format17(est.mean), format17(est.std_error), format17(est.theoretical),
+        str(est.samples), str(est.used_samples), str(est.singular_count), str(est.seed)])
+    return LogExpectationEstimate.CSV_HEADER + "\n" + row + "\n"
+
+
+def special_tail():
+    return TailEstimate(quantity="ratio", n=1, S_size=1, sigma=5e-324, mu=-0.0,
+                        thresholds=SPECIALS, exceed_counts=(0, 1, 2, 3, 12345, 2 ** 40),
+                        empirical=SPECIALS[::-1], wilson_upper=SPECIALS[2:] + SPECIALS[:2],
+                        theoretical=(1e308, -0.0, math.nan, math.inf, -math.inf, 5e-324),
+                        samples=2 ** 40, seed=2 ** 64 + 1, singular_count=7)
+
+
+def special_logexps():
+    for i in range(len(SPECIALS)):
+        v = SPECIALS[i:] + SPECIALS[:i]
+        yield LogExpectationEstimate(quantity="solve", n=30, S_size=465, sigma=v[0], beta=v[1],
+                                     mean=v[2], std_error=v[3], theoretical=v[4], samples=16384,
+                                     used_samples=16380, singular_count=4, seed=2 ** 63 + i)
+
+
 class TestSerialization:
+    def test_tail_csv_equals_the_field_by_field_builder(self):
+        est = estimate_tail(make_model(), "det", [300.0, 500.0, 1e4], 500, seed=17)
+        ratio = verify_ratio_tail(0.3, 2.0, [2.0, 10.0], 10_000, seed=3)
+        for case in (est, ratio, special_tail()):
+            assert case.to_csv_text() == tail_csv_field_by_field(case)
+
+    def test_logexp_csv_equals_the_field_by_field_builder(self):
+        est = estimate_logexp(make_model(), "det", 2.0, 500, seed=18)
+        for case in (est, *special_logexps()):
+            assert case.to_csv_text() == logexp_csv_field_by_field(case)
+
+    def test_round_trip_keeps_every_special_value(self):
+        # repr tells -0.0 from 0.0, an int from a float, and prints nan as nan
+        # a text column may hold the writer's own "%"
+        percent = dataclasses.replace(special_tail(), quantity="100%s%%")
+        for case, parse in ((special_tail(), parse_tail_csv), (percent, parse_tail_csv),
+                            *((le, parse_logexp_csv) for le in special_logexps())):
+            text = case.to_csv_text()
+            back = parse(text)
+            assert repr(back) == repr(case)
+            assert back.to_csv_text() == text
+
+    @pytest.mark.parametrize("parse", [parse_tail_csv, parse_logexp_csv])
+    def test_malformed_csv_raises_value_error(self, parse):
+        good = {parse_tail_csv: special_tail(),
+                parse_logexp_csv: next(special_logexps())}[parse].to_csv_text()
+        other = {parse_tail_csv: next(special_logexps()),
+                 parse_logexp_csv: special_tail()}[parse].to_csv_text()
+        header, row = good.splitlines()[:2]
+        cases = ["", header + "\n", f"{header}\n{row.rsplit(',', 1)[0]}\n",
+                 f"{header}\n{row},1\n", other, f"{header}\n{row}\n\n{row}\n"]
+        if parse is parse_logexp_csv:
+            cases.append(f"{header}\n{row}\n{row}\n")
+        for text in cases:
+            with pytest.raises(ValueError):
+                parse(text)
+
     def test_tail_csv_round_trip(self):
         model = make_model()
         est = estimate_tail(model, "det", [300.0, 500.0], 500, seed=17)
