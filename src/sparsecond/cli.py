@@ -94,10 +94,7 @@ def _resolve_pattern(spec) -> SparsityPattern:
     if kind not in NAMED_PATTERNS:
         raise SpecError(f"unknown pattern {kind!r}; use "
                         f"{'|'.join(NAMED_PATTERNS)} or file:<path>")
-    n = _spec_number(spec, "n", int)
-    if n < 1:
-        raise SpecError(f"n must be positive, got {n}")
-    return NAMED_PATTERNS[kind](n)
+    return NAMED_PATTERNS[kind](_spec_number(spec, "n", int))
 
 
 def _resolve_center(spec, pattern: SparsityPattern) -> PatternedMatrix:

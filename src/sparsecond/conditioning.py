@@ -403,11 +403,14 @@ def oracle_condition(quantity: str, A, b=None, delta: float = 1e-6, seed: int = 
 # batched kernels: the only implementation; the scalar functions above run
 # them on a batch of one, and every tile is factorized once by linalg._factor
 
-# Bytes of one (tile, n, n) float array of a kernel, about 290 members at
-# n = 30: the inverse, magnitudes and masks of one tile stay in a core's L2
-# cache instead of each streaming a whole chunk through memory. Chosen by a
-# sweep over 2^19..2^22 bytes (2 vCPUs, one BLAS thread).
-_TILE_BYTES = 1 << 21
+# Bytes of one (tile, n, n) float array of a kernel, 145 members at n = 30:
+# the inverse, magnitudes and masks of one tile stay in a core's L2 cache
+# instead of each streaming a whole chunk through memory, and since the draws
+# stream one tile at a time, the tile also sets a run's memory floor. The
+# smallest size that cost no Monte Carlo workload time in a sweep over
+# 2^19..2^21 bytes (2 vCPUs, one BLAS thread): at 2^19 the accuracy run's
+# per-tile substitution loop took about 13% more CPU time (best of 20 runs).
+_TILE_BYTES = 1 << 20
 
 
 def _tile_members(n: int) -> int:
@@ -437,7 +440,7 @@ def _tiled(kernel):
 
 # The formulas below are functions of the prescaled factorization f of a
 # stack (the condition numbers are homogeneous of degree 0), so that
-# condition_report factorizes once. They may overwrite f.g and f.x.
+# condition_report factorizes once. They may overwrite f.a, f.g and f.x.
 
 def _det_sums(f: Factorization) -> np.ndarray:
     """cond_det of the members of a stack; inf where singular."""
@@ -458,10 +461,10 @@ def batch_cond_det(stack: np.ndarray) -> np.ndarray:
 def _inverse_entries(f: Factorization) -> np.ndarray:
     """Entrywise inversion condition numbers; rows of singular members are
     all +inf."""
-    gs = _members(f.g, f.ok)
-    np.abs(gs, out=gs)
+    gs, a = (np.abs(v, out=v) for v in (_members(f.g, f.ok), _members(f.a, f.ok)))
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = componentwise_ratio(gs @ np.abs(_members(f.a, f.ok)) @ gs, gs)
+        # |G| |A| |G| into the buffer of |A|, which the first product has read
+        ratios = componentwise_ratio(np.matmul(gs @ a, gs, out=a), gs)
     if f.ok.all():
         return ratios
     vals = np.full(f.a.shape, np.inf)
@@ -496,9 +499,9 @@ def _solve_entries(f: Factorization) -> np.ndarray:
     vals = np.full(f.b.shape, np.inf)
     if f.solved.any():
         g, x, a, b = (_members(v, f.solved) for v in (f.g, f.x, f.a, f.b))
-        gs, xs = np.abs(g, out=g), np.abs(x, out=x)
+        gs, xs, a = (np.abs(v, out=v) for v in (g, x, a))
         with np.errstate(over="ignore", invalid="ignore"):
-            num = gs @ (np.abs(a) @ xs[..., None]) + gs @ np.abs(b)[..., None]
+            num = gs @ (a @ xs[..., None]) + gs @ np.abs(b)[..., None]
             vals[f.solved] = componentwise_ratio(num[..., 0], xs)
     return vals
 
@@ -627,11 +630,11 @@ def condition_report(A: PatternedMatrix, b=None) -> ConditionReport:
     factorization of A (and b)."""
     f = _factor_one(A, b)
     c_det = float(_det_sums(f)[0])
-    # the kernels' formulas overwrite the g and x they get
-    inv_entries = _inverse_entries(f._replace(g=f.g.copy()))[0]
+    # the kernels' formulas overwrite the a, g and x they get
+    inv_entries = _inverse_entries(f._replace(a=f.a.copy(), g=f.g.copy()))[0]
     solve_entries = bsol = c_solve_val = None
     if b is not None:
-        solve_entries = _solve_entries(f._replace(g=f.g.copy(), x=f.x.copy()))[0]
+        solve_entries = _solve_entries(f._replace(a=f.a.copy(), g=f.g.copy(), x=f.x.copy()))[0]
         bsol = _bound_solve(f, c_det)
         c_solve_val = float(solve_entries.max())
     return ConditionReport(

@@ -161,11 +161,15 @@ def _sigma_factor(sigma: float) -> float:
 
 
 def gaussian_ratio_tail_bound(mu: float, varsigma: float, t: float) -> float:
-    """Tail bound for P(|X| > t |X + 1|), X ~ N(mu, varsigma^2), valid for t > 1."""
+    """Tail bound for P(|X| > t |X + 1|), X ~ N(mu, varsigma^2), valid for t > 1;
+    varsigma = inf gives its limit, as sigma = inf does in the other bounds."""
+    if not math.isfinite(mu):
+        raise ValueError(f"mean must be finite, got {mu}")
     if not varsigma > 0.0:
         raise ValueError(f"scale must be positive, got {varsigma}")
     _check_threshold(t, 1.0)
-    return ((abs(mu) + varsigma) / varsigma) * (1.0 / (t - 1.0)) * SQRT_2_OVER_PI
+    factor = 1.0 if math.isinf(varsigma) else (abs(mu) + varsigma) / varsigma
+    return factor * (1.0 / (t - 1.0)) * SQRT_2_OVER_PI
 
 
 def det_tail_bound(S_size: int, sigma: float, t: float) -> float:
@@ -307,7 +311,7 @@ def _gather_values(values, draws, samples: int, seed: int, workers: int) -> np.n
     process per chunk; draws is a function of (rng, count) or a GaussianModel."""
     # Freeing this untouched 16 MiB block raises glibc's mmap threshold (128 KiB)
     # to 16 MiB and its trim threshold to 32 MiB, here and in forked workers, so
-    # each tile's 2 MiB arrays reuse heap pages instead of faulting in new ones.
+    # each tile's 1 MiB arrays reuse heap pages instead of faulting in new ones.
     np.empty(2 << 20)
     if isinstance(draws, GaussianModel):
         draws = partial(_tiles, draws)

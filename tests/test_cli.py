@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsecond import fplab, smoothed
+from sparsecond import conditioning, fplab, smoothed
 from sparsecond.cli import main
 from sparsecond.linalg import PatternedMatrix, write_matrix_file, write_vector_file
 from sparsecond.patterns import NAMED_PATTERNS, lower_triangular_pattern, write_pattern_file
@@ -373,6 +373,17 @@ def test_invalid_input_exits_2_before_the_first_draw(command, tmp_path, capsys, 
         assert not out.exists() and capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_spec_dimension_below_1_is_the_pattern_error(n, tmp_path, capsys):
+    # the spec's n reaches SparsityPattern unchecked, as bounds --n does
+    spec = write_spec(tmp_path / "s.txt", **dict(EXPERIMENTS["tail"][0], n=n))
+    assert main(["tail", "--spec", spec]) == 2
+    from_spec = capsys.readouterr()
+    assert main(["bounds", "--n", str(n), "--sigma", "1"]) == 2
+    assert capsys.readouterr() == from_spec
+    assert from_spec.out == "" and from_spec.err == f"error: dimension must be positive, got {n}\n"
+
+
 def _multi_chunk_specs():
     """Each EXPERIMENTS spec over at least two chunks, and tail on inv and solve."""
     for command, (keys, _, _) in EXPERIMENTS.items():
@@ -390,5 +401,20 @@ def test_stdout_csv_and_exit_code_do_not_depend_on_workers(command, keys, tmp_pa
     for workers in ("1", "2"):
         out = tmp_path / f"out{workers}.csv"
         code = main([command, "--spec", spec, "--out", str(out), "--workers", workers])
+        runs.append((code, capsys.readouterr().out, out.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", ["logexp", "accuracy"])
+def test_stdout_csv_and_exit_code_do_not_depend_on_the_tile_size(command, tmp_path, capsys,
+                                                                 monkeypatch):
+    # 1000 draws at n = 30 span several tiles at both sizes, none of them full
+    spec = write_spec(tmp_path / "s.txt", **dict(EXPERIMENTS[command][0], n=30, samples=1000))
+    assert conditioning._tile_members(30) < 1000
+    runs = []
+    for tile_bytes in (2 << 20, conditioning._TILE_BYTES):
+        monkeypatch.setattr(conditioning, "_TILE_BYTES", tile_bytes)
+        out = tmp_path / f"out{tile_bytes}.csv"
+        code = main([command, "--spec", spec, "--out", str(out)])
         runs.append((code, capsys.readouterr().out, out.read_bytes()))
     assert runs[0] == runs[1]

@@ -1374,17 +1374,36 @@ class TestTiledKernels:
             assert (det[~singular] == 1.0).all() and (inv[~singular] == 1.0).all()
             assert (solve[~singular] == 2.0).all()
 
+    @staticmethod
+    def _peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_lower_triangular_solve_chunk_peak_memory(self):
         rng = np.random.default_rng(73)
         stack = np.tril(rng.standard_normal((4096, 30, 30)))
         rhs = rng.standard_normal((4096, 30))
-        tracemalloc.start()
-        try:
-            batch_cond_solve(stack, rhs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.5 * stack.nbytes
+        # one tile (0.035 of the stack) and the kernel's arrays of it: 0.113
+        assert self._peak(lambda: batch_cond_solve(stack, rhs)) <= 0.13 * stack.nbytes
+
+    @pytest.mark.parametrize("kernel, lower, arrays", [
+        # the prescaled copy, whose buffer takes |A|, and the inverse: 2.20
+        (batch_cond_solve, True, 2.3),
+        # the same two and |G| |A| (its product with |G| goes into the buffer
+        # of |A|), then the ratios: 3.13
+        (lambda stack, rhs: batch_cond_inverse(stack), False, 3.2)],
+        ids=["lower-solve", "dense-inverse"])
+    def test_one_tile_peak_memory_in_tile_sized_arrays(self, kernel, lower, arrays):
+        members = conditioning._tile_members(30)
+        rng = np.random.default_rng(74)
+        stack = rng.standard_normal((members, 30, 30))
+        stack = np.tril(stack) if lower else stack
+        rhs = rng.standard_normal((members, 30))
+        assert self._peak(lambda: kernel(stack, rhs)) <= arrays * stack.nbytes
 
 
 @pytest.mark.filterwarnings("error")

@@ -278,9 +278,9 @@ class TestTileStream:
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     def test_chunk_peak_memory_is_one_tile_and_its_kernel(self):
-        # a tile of 291 draws is 0.071 of the chunk's stack; the peak is the
-        # drawn tile and the kernel's prescaled copy, inverse and |A| of it,
-        # about 0.30 of the stack (1.59 when the chunk was drawn whole)
+        # a tile of 145 draws is 0.035 of the chunk's stack; the peak is the
+        # drawn tile and the kernel's prescaled copy (which takes |A|) and
+        # inverse of it, 0.116 of the stack (1.59 when the chunk was drawn whole)
         model = make_model(n=30, rhs=np.ones(30))
         tracemalloc.start()
         try:
@@ -288,7 +288,7 @@ class TestTileStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.32 * (4096 * 30 * 30 * 8)
+        assert peak <= 0.13 * (4096 * 30 * 30 * 8)
 
 
 class TestBoundArithmetic:
@@ -370,6 +370,28 @@ class TestBoundArithmetic:
                 > expectation_bound_from_tail(1.0, 1.0, math.e))
         with pytest.raises(ValueError):
             expectation_bound_from_tail(0.0, 1.0, math.e)
+
+    @pytest.mark.parametrize("t", [1.5, 2.0, 11.0, 1e9])
+    def test_ratio_bound_takes_an_infinite_scale_as_its_limit(self, t):
+        # (|mu| + varsigma) / varsigma -> 1 for every finite mu
+        for mu in (0.0, -3.0, 1e300):
+            limit = gaussian_ratio_tail_bound(mu, math.inf, t)
+            assert limit == pytest.approx(SQ2PI / (t - 1.0), rel=1e-15)
+            # the bits of a finite scale whose factor is exactly 1
+            assert limit == gaussian_ratio_tail_bound(0.0, 1.0, t)
+
+    @pytest.mark.parametrize("mu, varsigma, t", [(0.0, 1.0, 2.0), (1.0, 1.0, 11.0),
+                                                 (-0.3, 2.0, 1e4), (5e-324, 1e-300, 1.5),
+                                                 (1e300, 7.0, 3.0)])
+    def test_ratio_bound_bits_for_finite_arguments(self, mu, varsigma, t):
+        expected = ((abs(mu) + varsigma) / varsigma) * (1.0 / (t - 1.0)) * SQ2PI
+        assert gaussian_ratio_tail_bound(mu, varsigma, t) == expected
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_ratio_bound_rejects_a_non_finite_mean(self, mu):
+        for varsigma in (1.0, math.inf):
+            with pytest.raises(ValueError, match="mean must be finite"):
+                gaussian_ratio_tail_bound(mu, varsigma, 2.0)
 
     @pytest.mark.parametrize("bound, args", [
         (gaussian_ratio_tail_bound, (0.0, math.nan, 2.0)),
